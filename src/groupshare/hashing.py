@@ -103,13 +103,16 @@ class Routing:
     """Precomputed coordinate routing for all grouped words.
 
     grouped_ids: (G,) ascending word ids that belong to at least one group;
-    group_rows:  (G, d) group id feeding each coordinate;
-    signs:       (G, d) the matching sign factors.
+    group_rows:  (G, d) int32 group id feeding each coordinate;
+    signs:       (G, d) int8 matching sign factors;
+    flat:        (G, d) position of each feeding coordinate in the
+                 flattened group matrix, group_rows * d + column.
     """
 
     grouped_ids: np.ndarray
     group_rows: np.ndarray
     signs: np.ndarray
+    flat: np.ndarray
 
 
 def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
@@ -118,8 +121,9 @@ def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
     if grouped.size == 0:
         return Routing(
             grouped_ids=grouped,
-            group_rows=np.zeros((0, dim), dtype=np.int64),
-            signs=np.ones((0, dim), dtype=np.int64),
+            group_rows=np.zeros((0, dim), dtype=np.int32),
+            signs=np.ones((0, dim), dtype=np.int8),
+            flat=np.zeros((0, dim), dtype=np.int64),
         )
     counts = np.array([len(table.membership[w]) for w in grouped], dtype=np.int64)
     kmax = int(counts.max())
@@ -131,9 +135,13 @@ def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
     dims = np.arange(dim, dtype=np.int64)
     h = _mix(np.uint64(spec.seed), grouped[:, None], dims[None, :])
     bucket = (h % counts.astype(np.uint64)[:, None]).astype(np.int64)
-    group_rows = np.take_along_axis(padded, bucket, axis=1)
-    signs = sign(grouped[:, None], dims[None, :], spec)
-    return Routing(grouped_ids=grouped, group_rows=group_rows, signs=signs)
+    flat = np.take_along_axis(padded, bucket, axis=1)
+    group_rows = flat.astype(np.int32)
+    flat *= dim
+    flat += dims
+    signs = sign(grouped[:, None], dims[None, :], spec).astype(np.int8)
+    return Routing(grouped_ids=grouped, group_rows=group_rows, signs=signs,
+                   flat=flat)
 
 
 @dataclass
@@ -169,10 +177,7 @@ class SharedEmbedding:
         r = self.routing
         if r.grouped_ids.size == 0:
             return
-        dims = np.arange(self.dim, dtype=np.int64)[None, :]
-        self.values[r.grouped_ids] = (
-            self.groups.vectors[r.group_rows, dims] * r.signs
-        )
+        self.values[r.grouped_ids] = np.take(self.groups.vectors, r.flat) * r.signs
 
 
 def init_shared(table: GroupTable, group_embeddings: GroupEmbeddings,
@@ -219,6 +224,9 @@ def aggregate_gradients(grad_values: np.ndarray, shared: SharedEmbedding) -> np.
     Every group coordinate sums the signed gradients of the word
     coordinates it feeds, accumulated in ascending word-id order.
     Returns a (group_count, d) array.
+
+    Only grouped words with a nonzero (or NaN) gradient entry are folded:
+    the sums start at +0.0, so the zero terms left out change no bit.
     """
     grad_values = np.asarray(grad_values)
     if grad_values.shape != shared.values.shape:
@@ -227,8 +235,10 @@ def aggregate_gradients(grad_values: np.ndarray, shared: SharedEmbedding) -> np.
     n, dim = shared.groups.vectors.shape
     if r.grouped_ids.size == 0:
         return np.zeros((n, dim), dtype=np.float64)
-    signed = grad_values[r.grouped_ids] * r.signs
-    cols = np.broadcast_to(np.arange(dim, dtype=np.int64), r.group_rows.shape)
-    flat = (r.group_rows * dim + cols).ravel()
-    out = np.bincount(flat, weights=signed.ravel(), minlength=n * dim)
+    words = np.flatnonzero(grad_values.any(axis=1))
+    rows = np.searchsorted(r.grouped_ids, words)
+    rows = rows[r.grouped_ids.take(rows, mode="clip") == words]
+    signed = grad_values[r.grouped_ids[rows]] * r.signs[rows]
+    out = np.bincount(r.flat[rows].ravel(), weights=signed.ravel(),
+                      minlength=n * dim)
     return out.reshape(n, dim)

@@ -17,7 +17,9 @@ softmax layer. Training uses per-parameter Adadelta.
 """
 
 import json
+import os
 import struct
+import uuid
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -231,14 +233,18 @@ def forward(doc_ids: np.ndarray, params: ModelParams, train: bool = False,
 
 
 def zero_gradients(params: ModelParams) -> dict:
-    """Gradient accumulators keyed like the parameters they mirror."""
+    """Gradient accumulators keyed like the parameters they mirror.
+
+    The embedding gradients come from ``np.zeros``, which can hand out
+    pages the system zeroes lazily, as a batch touches only a few rows.
+    """
     grads = {
-        "emb_p": np.zeros_like(params.emb_pretrained),
+        "emb_p": np.zeros(params.emb_pretrained.shape),
         "softmax/W": np.zeros_like(params.softmax_w),
         "softmax/b": np.zeros_like(params.softmax_b),
     }
     if params.channel2 is not None:
-        grads["ch2"] = np.zeros_like(params.channel2_values())
+        grads["ch2"] = np.zeros(params.channel2_values().shape)
     for bank_key, bank in (("bank_p", params.bank_p), ("bank_s", params.bank_s)):
         if bank is None:
             continue
@@ -284,15 +290,22 @@ def batch_gradients(params: ModelParams, docs, labels, train: bool = True,
     pad_to = params.config.max_height
     grads = zero_gradients(params)
     total_loss = 0.0
+    batch_ids = []
     for doc, label in zip(docs, labels):
         ids = pad_document(doc, pad_to, params.vocab.pad_id)
+        batch_ids.append(ids)
         logits, cache = forward(ids, params, train=train, dropout_rng=dropout_rng)
         loss, probs = softmax_xent(logits, int(label))
         total_loss += loss
         backward(softmax_xent_backward(probs, int(label)), cache, params, grads)
     scale = 1.0 / len(docs)
+    # embedding rows outside the batch hold +0.0, which scaling leaves as is
+    rows = np.unique(np.concatenate(batch_ids))
     for key in grads:
-        grads[key] *= scale
+        if key in ("emb_p", "ch2"):
+            grads[key][rows] *= scale
+        else:
+            grads[key] *= scale
     return total_loss * scale, grads
 
 
@@ -317,28 +330,45 @@ class Optimizer:
 
 
 def apply_gradients(params: ModelParams, opt: Optimizer, grads: dict) -> None:
-    config = params.config
-    opt.update("emb_p", params.emb_pretrained, grads["emb_p"])
+    """One Adadelta step on every parameter tensor.
 
-    if params.is_shared:
-        shared = params.channel2
+    Every gradient is checked for shape and finiteness before any tensor
+    moves, so a bad gradient raises ValueError and leaves the parameters,
+    the accumulators and the step count as they were.
+    """
+    config = params.config
+    updates = [("emb_p", params.emb_pretrained, grads["emb_p"])]
+    shared = params.channel2 if params.is_shared else None
+    private = None
+    if shared is not None:
         group_grad = aggregate_gradients(grads["ch2"], shared)
-        opt.update("group_emb", shared.groups.vectors, group_grad)
+        updates.append(("group_emb", shared.groups.vectors, group_grad))
         if shared.private_ids.size:
             private = shared.values[shared.private_ids]
-            opt.update("ch2_private", private, grads["ch2"][shared.private_ids])
-            shared.values[shared.private_ids] = private
+            updates.append(("ch2_private", private, grads["ch2"][shared.private_ids]))
     elif params.channel2 is not None:
-        opt.update("ch2", params.channel2, grads["ch2"])
+        updates.append(("ch2", params.channel2, grads["ch2"]))
 
     for bank_key, bank in (("bank_p", params.bank_p), ("bank_s", params.bank_s)):
         if bank is None:
             continue
         for h in config.filter_heights:
-            opt.update(f"{bank_key}/W/{h}", bank.weights[h], grads[f"{bank_key}/W/{h}"])
-            opt.update(f"{bank_key}/b/{h}", bank.biases[h], grads[f"{bank_key}/b/{h}"])
-    opt.update("softmax/W", params.softmax_w, grads["softmax/W"])
-    opt.update("softmax/b", params.softmax_b, grads["softmax/b"])
+            updates.append((f"{bank_key}/W/{h}", bank.weights[h],
+                            grads[f"{bank_key}/W/{h}"]))
+            updates.append((f"{bank_key}/b/{h}", bank.biases[h],
+                            grads[f"{bank_key}/b/{h}"]))
+    updates.append(("softmax/W", params.softmax_w, grads["softmax/W"]))
+    updates.append(("softmax/b", params.softmax_b, grads["softmax/b"]))
+
+    for name, param, grad in updates:
+        if np.shape(grad) != param.shape:
+            raise ValueError(f"gradient shape does not match parameter {name}")
+        if not np.isfinite(grad).all():
+            raise ValueError(f"non-finite gradient for {name}")
+    for name, param, grad in updates:
+        opt.update(name, param, grad)
+    if private is not None:
+        shared.values[shared.private_ids] = private
 
 
 def train_step(params: ModelParams, opt: Optimizer, docs, labels) -> float:
@@ -433,6 +463,12 @@ def _collect_tensors(params: ModelParams, opt: Optimizer):
 
 
 def save_checkpoint(path, params: ModelParams, opt: Optimizer) -> None:
+    """Write a checkpoint; an existing file at ``path`` is replaced whole.
+
+    The bytes go to a temporary file in the target's directory, which then
+    replaces ``path``, so a write that fails midway leaves no partial
+    checkpoint behind.
+    """
     tensors = _collect_tensors(params, opt)
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -454,48 +490,62 @@ def save_checkpoint(path, params: ModelParams, opt: Optimizer) -> None:
             "multiword_skipped": shared.table.multiword_skipped,
         }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for _, arr in tensors:
-            f.write(np.ascontiguousarray(arr).tobytes())
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for _, arr in tensors:
+                f.write(np.ascontiguousarray(arr))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    """Rebuild (params, optimizer) from a checkpoint file."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 8:
-        raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes")
-    pos = len(CHECKPOINT_MAGIC)
-    (header_len,) = struct.unpack("<Q", blob[pos : pos + 8])
-    pos += 8
-    if pos + header_len > len(blob):
-        raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(blob[pos : pos + header_len].decode("utf-8"))
-    pos += header_len
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format version {header.get('format_version')}"
-        )
+    """Rebuild (params, optimizer) from a checkpoint file.
 
-    tensors = {}
-    for name, dtype, shape in header["tensors"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * np.dtype(dtype).itemsize
-        if pos + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated payload at tensor {name}")
-        tensors[name] = (
-            np.frombuffer(blob[pos : pos + nbytes], dtype=dtype)
-            .reshape(shape)
-            .copy()
-        )
-        pos += nbytes
-    if pos != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes after payload")
+    The header is read and every tensor size checked against the file
+    size first; each tensor is then read straight into its own array.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        pos = len(CHECKPOINT_MAGIC) + 8
+        if size < pos:
+            raise CheckpointError(f"{path}: file too short to be a checkpoint")
+        prefix = f.read(pos)
+        if prefix[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic bytes")
+        (header_len,) = struct.unpack("<Q", prefix[len(CHECKPOINT_MAGIC) :])
+        if pos + header_len > size:
+            raise CheckpointError(f"{path}: truncated header")
+        header = json.loads(f.read(header_len).decode("utf-8"))
+        pos += header_len
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported format version {header.get('format_version')}"
+            )
+
+        layout = []
+        for name, dtype, shape in header["tensors"]:
+            dtype = np.dtype(dtype)
+            count = int(np.prod(shape)) if shape else 1
+            pos += count * dtype.itemsize
+            if pos > size:
+                raise CheckpointError(f"{path}: truncated payload at tensor {name}")
+            layout.append((name, dtype, shape))
+        if pos != size:
+            raise CheckpointError(f"{path}: trailing bytes after payload")
+
+        tensors = {}
+        for name, dtype, shape in layout:
+            arr = np.empty(shape, dtype=dtype)
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise CheckpointError(f"{path}: truncated payload at tensor {name}")
+            tensors[name] = arr
 
     cfg_dict = dict(header["config"])
     cfg_dict["filter_heights"] = tuple(cfg_dict["filter_heights"])

@@ -146,10 +146,31 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
         E[g2]  = rho E[g2] + (1-rho) g^2
         dx     = - sqrt(E[dx2] + eps) / sqrt(E[g2] + eps) * g
         E[dx2] = rho E[dx2] + (1-rho) dx^2
+
+    A leading-axis row whose gradient is +0.0 throughout only decays its
+    two accumulators by rho: its step is -0.0, which moves no parameter.
+    When some rows are such, both accumulators decay in one in-place
+    pass and the formulas above run on the other ("live") rows alone,
+    which gives the dense step bit for bit at the cost of the live rows.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != param.shape:
         raise ValueError("gradient shape does not match parameter shape")
+    live = _live_rows(grad)
+    if live is None:
+        _adadelta_step(param, grad, state, rho, eps)
+        return
+    rows = AdadeltaState(sq_grad=state.sq_grad[live], sq_delta=state.sq_delta[live])
+    moved = param[live]
+    _adadelta_step(moved, grad[live], rows, rho, eps)
+    state.sq_grad *= rho
+    state.sq_delta *= rho
+    state.sq_grad[live] = rows.sq_grad
+    state.sq_delta[live] = rows.sq_delta
+    param[live] = moved
+
+
+def _adadelta_step(param, grad, state, rho, eps) -> None:
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
     state.sq_grad *= rho
@@ -158,6 +179,19 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
     state.sq_delta *= rho
     state.sq_delta += (1.0 - rho) * delta * delta
     param += delta
+
+
+def _live_rows(grad: np.ndarray):
+    """Ids of the leading-axis rows holding any entry other than +0.0.
+
+    NaN, inf and -0.0 count as live. Returns None when every row is live,
+    or when the array has no leading axis.
+    """
+    if grad.ndim == 0:
+        return None
+    bits = grad.view(np.int64)
+    live = np.flatnonzero(bits.any(axis=tuple(range(1, grad.ndim))))
+    return None if live.size == grad.shape[0] else live
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshare.groups import groups_from_tsv, init_group_embeddings
 from groupshare.hashing import (
@@ -200,13 +202,71 @@ def test_aggregate_gradients_matches_loop_oracle():
                              pretrained, spec)
         grad = rng.normal(0, 1, size=shared.values.shape)
         got = aggregate_gradients(grad, shared)
-        expected = np.zeros_like(shared.groups.vectors)
-        for w in table.grouped_word_ids():  # ascending word ids
-            gids = table.groups_of(w)
-            for j in range(dim):
-                pick = gids[hash_dim(w, j, len(gids), spec)]
-                expected[pick, j] += grad[w, j] * sign(w, j, spec)
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, _loop_aggregate(grad, shared))
+
+
+def _loop_aggregate(grad, shared):
+    """Scalar loops over words and coordinates: the oracle."""
+    table, spec = shared.table, shared.spec
+    expected = np.zeros_like(shared.groups.vectors)
+    for w in table.grouped_word_ids():  # ascending word ids
+        gids = table.groups_of(w)
+        for j in range(shared.dim):
+            pick = gids[hash_dim(w, j, len(gids), spec)]
+            expected[pick, j] += grad[w, j] * sign(w, j, spec)
+    return expected
+
+
+def _dense_aggregate(grad, shared):
+    """One bincount over every grouped word, zero rows included."""
+    r = shared.routing
+    n, dim = shared.groups.vectors.shape
+    signed = grad[r.grouped_ids] * r.signs
+    cols = np.broadcast_to(np.arange(dim, dtype=np.int64), r.group_rows.shape)
+    flat = (r.group_rows.astype(np.int64) * dim + cols).ravel()
+    out = np.bincount(flat, weights=signed.ravel(), minlength=n * dim)
+    return out.reshape(n, dim)
+
+
+def _random_shared(seed, dim, signing=True):
+    rng = np.random.default_rng(seed)
+    vocab, table = _random_table(rng)
+    pretrained = rng.normal(0, 1, size=(vocab.num_rows, dim))
+    spec = HashSpec(seed=seed % 1000, signing_enabled=signing)
+    shared = init_shared(table, init_group_embeddings(table, pretrained),
+                         pretrained, spec)
+    return rng, shared
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9),
+       zero_share=st.floats(0.0, 1.0), signing=st.booleans())
+def test_aggregate_skipping_zero_rows_matches_dense_bytes(seed, dim, zero_share,
+                                                          signing):
+    rng, shared = _random_shared(seed, dim, signing)
+    grad = rng.normal(0, 1, size=shared.values.shape)
+    grad[rng.random(grad.shape[0]) < zero_share] = 0.0
+    grad[rng.random(grad.shape) < 0.1] = 0.0     # zero entries in live rows
+    got = aggregate_gradients(grad, shared)
+    assert got.tobytes() == _dense_aggregate(grad, shared).tobytes()
+    np.testing.assert_array_equal(got, _loop_aggregate(grad, shared))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9),
+       signing=st.booleans())
+def test_aggregate_is_the_adjoint_of_sync(seed, dim, signing):
+    # <sync(g), E> over the grouped rows equals <g, aggregate(E)>
+    rng, shared = _random_shared(seed, dim, signing)
+    g = rng.normal(0, 1, size=shared.groups.vectors.shape)
+    e = rng.normal(0, 1, size=shared.values.shape)
+    shared.groups.vectors[...] = g
+    shared.sync()
+    rows = shared.routing.grouped_ids
+    terms = shared.values[rows] * e[rows]
+    lhs = terms.sum()
+    rhs = (g * aggregate_gradients(e, shared)).sum()
+    assert abs(lhs - rhs) <= 1e-12 * np.abs(terms).sum()
 
 
 def test_aggregate_gradients_shape_check():

@@ -1,12 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
+from groupshare import model as model_module
 from groupshare.corpus import random_pretrained
 from groupshare.groups import groups_from_tsv
 from groupshare.model import (
     CheckpointError,
     ModelConfig,
     Optimizer,
+    apply_gradients,
     batch_gradients,
     forward,
     init_params,
@@ -339,6 +343,72 @@ def test_checkpoint_rejects_garbage(tmp_path):
     grown.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(grown)
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(blob[:20])
+    with pytest.raises(CheckpointError, match="truncated header"):
+        load_checkpoint(cut)
+    future = tmp_path / "future.ckpt"
+    future.write_bytes(blob.replace(b'"format_version": 1', b'"format_version": 9'))
+    with pytest.raises(CheckpointError, match="version 9"):
+        load_checkpoint(future)
+
+
+def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    params, opt, _, _, docs, labels, path = checkpoint_roundtrip(
+        "group_init_share", tmp_path
+    )
+    before = path.read_bytes()
+    listing = sorted(os.listdir(tmp_path))
+
+    class Unwritable:
+        dtype = np.dtype(np.float64)
+        shape = (3,)
+
+        def __array__(self, *args, **kwargs):
+            raise OSError("disk full")
+
+    collect = model_module._collect_tensors
+    monkeypatch.setattr(model_module, "_collect_tensors",
+                        lambda p, o: collect(p, o) + [("late", Unwritable())])
+    train_step(params, opt, docs, labels)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, params, opt)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == listing
+
+
+def _state_bytes(params, opt):
+    """Every stored parameter and accumulator, and the step count."""
+    out = {name: arr.tobytes() for name, arr in model_module._collect_tensors(params, opt)}
+    out["step_count"] = params.step_count
+    return out
+
+
+@pytest.mark.parametrize("mode", ["none", "random", "group_init_no_share",
+                                  "group_init_share"])
+def test_bad_gradient_leaves_no_half_applied_step(mode, monkeypatch):
+    params, docs, labels, *_ = tiny_setup(seed=5, mode=mode, dropout=0.5)
+    opt = Optimizer()
+    train_step(params, opt, docs, labels)
+    before = _state_bytes(params, opt)
+
+    real = model_module.batch_gradients
+
+    def poisoned(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        grads["softmax/b"][-1] = np.nan     # the last tensor updated
+        return loss, grads
+
+    monkeypatch.setattr(model_module, "batch_gradients", poisoned)
+    with pytest.raises(ValueError, match="non-finite"):
+        train_step(params, opt, docs, labels)
+    assert _state_bytes(params, opt) == before
+
+    _, grads = real(params, docs, labels, train=False)
+    grads["softmax/W"] = grads["softmax/W"][:-1]
+    with pytest.raises(ValueError, match="shape"):
+        apply_gradients(params, opt, grads)
+    assert _state_bytes(params, opt) == before
 
 
 def test_single_channel_checkpoint_has_no_second_channel_tensors(tmp_path):

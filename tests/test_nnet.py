@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshare.nnet import (
     AdadeltaState,
@@ -233,6 +235,57 @@ def test_adadelta_rejects_bad_gradients():
         adadelta_update(param, np.array([1.0, np.nan, 0.0]), state)
     with pytest.raises(ValueError, match="shape"):
         adadelta_update(param, np.zeros(4), state)
+    # a row holding inf among all-zero rows is live, and caught before any
+    # accumulator decays
+    param = np.ones((4, 2))
+    state = AdadeltaState(sq_grad=np.full((4, 2), 0.5), sq_delta=np.full((4, 2), 0.25))
+    grad = np.zeros((4, 2))
+    grad[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        adadelta_update(param, grad, state)
+    assert (param == 1.0).all()
+    assert (state.sq_grad == 0.5).all() and (state.sq_delta == 0.25).all()
+
+
+def dense_adadelta(param, grad, state, rho, eps):
+    """The dense step over every entry, the reference for the row path."""
+    state.sq_grad *= rho
+    state.sq_grad += (1.0 - rho) * grad * grad
+    delta = -np.sqrt(state.sq_delta + eps) / np.sqrt(state.sq_grad + eps) * grad
+    state.sq_delta *= rho
+    state.sq_delta += (1.0 - rho) * delta * delta
+    param += delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.lists(st.integers(0, 7), min_size=1, max_size=3),
+    live=st.sampled_from(["some", "all", "none"]),
+    steps=st.integers(1, 4),
+    rho=st.floats(0.5, 0.99),
+    eps=st.sampled_from([1e-8, 1e-6, 1e-3]),
+)
+def test_row_sparse_adadelta_matches_dense_bytes(seed, shape, live, steps, rho, eps):
+    rng = np.random.default_rng(seed)
+    shape = tuple(shape)
+    param = rng.normal(0, 1, size=shape)
+    param[rng.random(shape) < 0.1] = -0.0
+    state = AdadeltaState.zeros(shape)
+    ref_param, ref_state = param.copy(), AdadeltaState.zeros(shape)
+    for _ in range(steps):
+        grad = rng.normal(0, 1, size=shape) * 10.0 ** rng.integers(-6, 3)
+        if live == "none":
+            grad[...] = 0.0
+        elif live == "some":
+            rows = rng.random(shape[0])
+            grad[rows < 0.5] = 0.0
+            grad[rows > 0.9] = -0.0     # -0.0 rows are live
+        adadelta_update(param, grad, state, rho=rho, eps=eps)
+        dense_adadelta(ref_param, grad, ref_state, rho, eps)
+        assert param.tobytes() == ref_param.tobytes()
+        assert state.sq_grad.tobytes() == ref_state.sq_grad.tobytes()
+        assert state.sq_delta.tobytes() == ref_state.sq_delta.tobytes()
 
 
 def test_adadelta_step_size_adapts():
