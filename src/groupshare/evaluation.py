@@ -236,6 +236,10 @@ def run_experiment(exp: ExperimentConfig, dataset: Dataset, vocab: Vocabulary,
                    pretrained: np.ndarray,
                    group_table: GroupTable = None) -> ExperimentReport:
     """R replications of k-fold cross-validation with fresh models."""
+    if exp.metric == "auc" and dataset.num_classes != 2:
+        raise ValueError(
+            f"metric auc needs two classes; the dataset has {dataset.num_classes}"
+        )
     labels = dataset.labels
     n = len(dataset)
     report = ExperimentReport(

@@ -181,13 +181,11 @@ class SharedEmbedding:
 
 
 def init_shared(table: GroupTable, group_embeddings: GroupEmbeddings,
-                pretrained: np.ndarray, spec: HashSpec,
-                routing: Routing = None) -> SharedEmbedding:
+                pretrained: np.ndarray, spec: HashSpec) -> SharedEmbedding:
     """Assemble a shared embedding over a group table.
 
     Private rows copy the pretrained matrix; grouped rows come from the
-    group parameters through the hash routing. Passing a prebuilt
-    ``routing`` lets callers substitute their own map.
+    group parameters through the hash routing.
     """
     pretrained = np.asarray(pretrained, dtype=np.float64)
     if pretrained.shape[0] != table.vocab_size:
@@ -200,14 +198,12 @@ def init_shared(table: GroupTable, group_embeddings: GroupEmbeddings,
     dim = pretrained.shape[1]
     if group_embeddings.dim != dim:
         raise ValueError("group embedding width does not match pretrained width")
-    if routing is None:
-        routing = build_routing(table, dim, spec)
     shared = SharedEmbedding(
         values=pretrained.copy(),
         table=table,
         groups=group_embeddings,
         spec=spec,
-        routing=routing,
+        routing=build_routing(table, dim, spec),
     )
     shared.sync()
     return shared

@@ -17,6 +17,7 @@ softmax layer. Training uses per-parameter Adadelta.
 """
 
 import json
+import math
 import os
 import struct
 import uuid
@@ -43,6 +44,7 @@ from .nnet import (
     init_filter_bank,
     maxpool1,
     maxpool1_backward,
+    rows_product,
     softmax_xent,
     softmax_xent_backward,
 )
@@ -169,66 +171,103 @@ def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
     return params
 
 
-def pad_document(ids: np.ndarray, min_len: int, pad_id: int) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.shape[0] >= min_len:
-        return ids
-    tail = np.full(min_len - ids.shape[0], pad_id, dtype=np.int64)
-    return np.concatenate([ids, tail])
+# Token positions a padded chunk may span (documents times padded
+# length). A chunk keeps its working set in cache; on 200-token documents
+# a chunk of 1,024 positions predicted 1.5-2x slower than one document
+# at a time. A chunk always holds at least one document.
+CHUNK_POSITIONS = 256
+
+
+def pad_chunk(docs, min_len: int, pad_id: int) -> np.ndarray:
+    """Documents as the rows of one id matrix, padded to the longest of
+    them and to at least ``min_len`` tokens."""
+    width = max([min_len] + [len(doc) for doc in docs])
+    ids = np.full((len(docs), width), pad_id, dtype=np.int64)
+    for row, doc in zip(ids, docs):
+        row[: len(doc)] = doc
+    return ids
+
+
+def padded_chunks(params: ModelParams, docs):
+    """Yield (start, ids) over runs of consecutive documents.
+
+    ``ids`` holds ``docs[start:start + len(ids)]`` padded by ``pad_chunk``
+    to at least the maximum filter height; a run grows while its padded
+    size stays within CHUNK_POSITIONS.
+    """
+    min_len = params.config.max_height
+    start = 0
+    while start < len(docs):
+        width = max(min_len, len(docs[start]))
+        end = start + 1
+        while end < len(docs):
+            grown = max(width, len(docs[end]))
+            if (end + 1 - start) * grown > CHUNK_POSITIONS:
+                break
+            width, end = grown, end + 1
+        yield start, pad_chunk(docs[start:end], min_len, params.vocab.pad_id)
+        start = end
 
 
 @dataclass
 class ForwardCache:
     ids: np.ndarray
-    mask: np.ndarray
+    real: np.ndarray    # (documents, length) bool: not a PAD position
     channels: list      # per channel: (grad_key, bank_key, per-height caches)
     dropped: np.ndarray
     drop_mask: np.ndarray
 
 
-def forward(doc_ids: np.ndarray, params: ModelParams, train: bool = False,
+def forward(ids: np.ndarray, params: ModelParams, train: bool = False,
             dropout_rng: np.random.Generator = None):
-    """Logits for one document. Documents must be padded to max height.
+    """Logits for a chunk of documents padded to one length.
 
-    Pooling covers the windows that fit inside the real tokens; a
-    document shorter than a filter keeps its single pad-completed
-    window. Extra trailing padding therefore never changes the logits.
+    ``ids`` is (documents, length), with length at least the maximum
+    filter height; returns (documents, classes) logits. Pooling covers
+    the windows that fit inside each document's real tokens; a document
+    shorter than a filter keeps its single pad-completed window. Extra
+    trailing padding therefore never changes the logits.
     """
     config = params.config
-    ids = np.asarray(doc_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.shape[0] < config.max_height:
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[1] < config.max_height:
         raise ValueError(
-            f"document must be 1-D with at least {config.max_height} tokens "
-            f"(pad it first)"
+            f"a chunk must be (documents, length) with length at least "
+            f"{config.max_height} (pad it first)"
         )
-    mask = (ids != params.vocab.pad_id).astype(np.float64)
-    real_len = int(mask.sum())
-    if real_len == 0:
+    real = ids != params.vocab.pad_id
+    real_len = real.sum(axis=1)
+    if (real_len == 0).any():
         raise ValueError("document is all padding")
 
     matrices = [("emb_p", "bank_p", params.emb_pretrained, params.bank_p)]
     if params.channel2 is not None:
         matrices.append(("ch2", "bank_s", params.channel2_values(), params.bank_s))
 
+    # A document longer than half of CHUNK_POSITIONS always has a chunk to
+    # itself, so its products keep one shape whatever documents surround
+    # it in a call; it goes through the single-input convolution, which
+    # skips the copy and the row blocks that a batch needs.
+    alone = ids.shape[1] > CHUNK_POSITIONS // 2
     channels = []
     pieces = []
     for grad_key, bank_key, matrix, bank in matrices:
-        x = matrix[ids] * mask[:, None]
+        x = matrix[ids] * real[:, :, None]
         per_height = []
         for h in config.filter_heights:
-            out, cache = conv_forward(x, bank.weights[h], bank.biases[h])
-            n_windows = out.shape[0]
-            n_valid = max(real_len - h + 1, 1)
-            pooled, idx = maxpool1(out[:n_valid])
-            per_height.append((h, cache, idx, n_valid, n_windows))
+            out, cache = conv_forward(x[0] if alone else x, bank.weights[h],
+                                      bank.biases[h])
+            out = out.reshape(len(ids), -1, out.shape[-1])
+            pooled, idx = maxpool1(out, np.maximum(real_len - h + 1, 1))
+            per_height.append((h, cache, idx, out.shape[1]))
             pieces.append(pooled)
         channels.append((grad_key, bank_key, per_height))
 
-    feat = np.concatenate(pieces)
+    feat = np.concatenate(pieces, axis=1)
     dropped, drop_mask = dropout(feat, config.dropout_rate, train, dropout_rng)
-    logits = dropped @ params.softmax_w + params.softmax_b
+    logits = rows_product(dropped, params.softmax_w) + params.softmax_b
     return logits, ForwardCache(
-        ids=ids, mask=mask, channels=channels, dropped=dropped, drop_mask=drop_mask
+        ids=ids, real=real, channels=channels, dropped=dropped, drop_mask=drop_mask
     )
 
 
@@ -256,11 +295,12 @@ def zero_gradients(params: ModelParams) -> dict:
 
 def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
              grads: dict) -> None:
-    """Accumulate gradients for one document into ``grads``."""
+    """Accumulate the gradients of a chunk's summed loss into ``grads``;
+    ``d_logits`` is (documents, classes)."""
     config = params.config
-    grads["softmax/W"] += np.outer(cache.dropped, d_logits)
-    grads["softmax/b"] += d_logits
-    d_feat = params.softmax_w @ d_logits
+    grads["softmax/W"] += cache.dropped.T @ d_logits
+    grads["softmax/b"] += d_logits.sum(axis=0)
+    d_feat = d_logits @ params.softmax_w.T
     if cache.drop_mask is not None:
         d_feat = d_feat * cache.drop_mask
 
@@ -268,16 +308,15 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     pos = 0
     for grad_key, bank_key, per_height in cache.channels:
         dx_total = None
-        for h, conv_cache, idx, n_valid, n_windows in per_height:
-            d_pool = d_feat[pos : pos + f]
+        for h, conv_cache, idx, n_windows in per_height:
+            d_conv = maxpool1_backward(d_feat[:, pos : pos + f], idx, n_windows)
             pos += f
-            d_conv = np.zeros((n_windows, f), dtype=np.float64)
-            d_conv[:n_valid] = maxpool1_backward(d_pool, idx, n_valid)
             dx, d_w, d_b = conv_backward(d_conv, conv_cache)
             grads[f"{bank_key}/W/{h}"] += d_w
             grads[f"{bank_key}/b/{h}"] += d_b
             dx_total = dx if dx_total is None else dx_total + dx
-        np.add.at(grads[grad_key], cache.ids, dx_total * cache.mask[:, None])
+        dx_total = dx_total.reshape(cache.ids.shape + (-1,))
+        np.add.at(grads[grad_key], cache.ids[cache.real], dx_total[cache.real])
 
 
 def batch_gradients(params: ModelParams, docs, labels, train: bool = True,
@@ -287,17 +326,17 @@ def batch_gradients(params: ModelParams, docs, labels, train: bool = True,
         raise ValueError("empty batch")
     if len(docs) != len(labels):
         raise ValueError("documents and labels disagree in length")
-    pad_to = params.config.max_height
+    labels = np.asarray(labels, dtype=np.int64)
     grads = zero_gradients(params)
     total_loss = 0.0
     batch_ids = []
-    for doc, label in zip(docs, labels):
-        ids = pad_document(doc, pad_to, params.vocab.pad_id)
-        batch_ids.append(ids)
+    for start, ids in padded_chunks(params, docs):
+        batch_ids.append(ids.ravel())
+        chunk_labels = labels[start : start + len(ids)]
         logits, cache = forward(ids, params, train=train, dropout_rng=dropout_rng)
-        loss, probs = softmax_xent(logits, int(label))
-        total_loss += loss
-        backward(softmax_xent_backward(probs, int(label)), cache, params, grads)
+        loss, probs = softmax_xent(logits, chunk_labels)
+        total_loss += loss.sum()
+        backward(softmax_xent_backward(probs, chunk_labels), cache, params, grads)
     scale = 1.0 / len(docs)
     # embedding rows outside the batch hold +0.0, which scaling leaves as is
     rows = np.unique(np.concatenate(batch_ids))
@@ -391,33 +430,32 @@ def train_step(params: ModelParams, opt: Optimizer, docs, labels) -> float:
 
 
 def predict(params: ModelParams, docs):
-    """Labels and class probabilities for a document list."""
+    """Labels and class probabilities for a document list.
+
+    A document's probabilities do not depend on the other documents in
+    the list: ``predict(docs[a:b])`` gives the bytes of
+    ``predict(docs)[a:b]``.
+    """
     if params.is_shared:
         sync_forward(params.channel2)
-    pad_to = params.config.max_height
-    n = len(docs)
-    labels = np.zeros(n, dtype=np.int64)
-    probs = np.zeros((n, params.config.num_classes), dtype=np.float64)
-    for i, doc in enumerate(docs):
-        ids = pad_document(doc, pad_to, params.vocab.pad_id)
+    probs = np.zeros((len(docs), params.config.num_classes), dtype=np.float64)
+    for start, ids in padded_chunks(params, docs):
         logits, _ = forward(ids, params, train=False)
-        shifted = np.exp(logits - logits.max())
-        probs[i] = shifted / shifted.sum()
-        labels[i] = int(np.argmax(probs[i]))
-    return labels, probs
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs[start : start + len(ids)] = shifted / shifted.sum(axis=1, keepdims=True)
+    return probs.argmax(axis=1), probs
 
 
 def loss_on(params: ModelParams, docs, labels) -> float:
     """Mean evaluation-mode loss (no dropout, tied rows synced)."""
     if params.is_shared:
         sync_forward(params.channel2)
-    pad_to = params.config.max_height
+    labels = np.asarray(labels, dtype=np.int64)
     total = 0.0
-    for doc, label in zip(docs, labels):
-        ids = pad_document(doc, pad_to, params.vocab.pad_id)
+    for start, ids in padded_chunks(params, docs):
         logits, _ = forward(ids, params, train=False)
-        loss, _ = softmax_xent(logits, int(label))
-        total += loss
+        loss, _ = softmax_xent(logits, labels[start : start + len(ids)])
+        total += loss.sum()
     return float(total / len(docs))
 
 
@@ -505,11 +543,36 @@ def save_checkpoint(path, params: ModelParams, opt: Optimizer) -> None:
         raise
 
 
+TENSOR_DTYPES = ("float64", "int64")
+
+
+def _check_header(path, header) -> None:
+    """Reject a header of the wrong form before anything is allocated."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported format version {header.get('format_version')}"
+        )
+    table = header.get("tensors")
+    if not isinstance(table, list):
+        raise CheckpointError(f"{path}: header has no tensor list")
+    for entry in table:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and entry[1] in TENSOR_DTYPES
+                and isinstance(entry[2], list)
+                and all(type(n) is int and n >= 0 for n in entry[2])):
+            raise CheckpointError(f"{path}: malformed tensor entry {str(entry)[:80]}")
+    if len({entry[0] for entry in table}) != len(table):
+        raise CheckpointError(f"{path}: duplicate tensor names")
+
+
 def load_checkpoint(path):
     """Rebuild (params, optimizer) from a checkpoint file.
 
-    The header is read and every tensor size checked against the file
+    The header is checked and every tensor size checked against the file
     size first; each tensor is then read straight into its own array.
+    Whatever is wrong with the file, the error raised is CheckpointError.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -522,31 +585,39 @@ def load_checkpoint(path):
         (header_len,) = struct.unpack("<Q", prefix[len(CHECKPOINT_MAGIC) :])
         if pos + header_len > size:
             raise CheckpointError(f"{path}: truncated header")
-        header = json.loads(f.read(header_len).decode("utf-8"))
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except ValueError as e:     # UnicodeDecodeError, JSONDecodeError
+            raise CheckpointError(f"{path}: header is not UTF-8 JSON ({e})") from None
+        _check_header(path, header)
         pos += header_len
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported format version {header.get('format_version')}"
-            )
 
-        layout = []
         for name, dtype, shape in header["tensors"]:
-            dtype = np.dtype(dtype)
-            count = int(np.prod(shape)) if shape else 1
-            pos += count * dtype.itemsize
+            pos += math.prod(shape) * np.dtype(dtype).itemsize
             if pos > size:
                 raise CheckpointError(f"{path}: truncated payload at tensor {name}")
-            layout.append((name, dtype, shape))
         if pos != size:
             raise CheckpointError(f"{path}: trailing bytes after payload")
 
         tensors = {}
-        for name, dtype, shape in layout:
+        for name, dtype, shape in header["tensors"]:
             arr = np.empty(shape, dtype=dtype)
             if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise CheckpointError(f"{path}: truncated payload at tensor {name}")
             tensors[name] = arr
 
+    try:
+        return _restore(path, header, tensors)
+    except CheckpointError:
+        raise
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as e:
+        raise CheckpointError(
+            f"{path}: header and tensors do not form a model ({e!r})"
+        ) from e
+
+
+def _restore(path, header: dict, tensors: dict):
     cfg_dict = dict(header["config"])
     cfg_dict["filter_heights"] = tuple(cfg_dict["filter_heights"])
     config = ModelConfig(**cfg_dict)
@@ -554,20 +625,41 @@ def load_checkpoint(path):
     vocab = Vocabulary(words=words, index={w: i for i, w in enumerate(words)})
     if vocab.content_hash() != header["vocab_hash"]:
         raise CheckpointError(f"{path}: vocabulary hash mismatch")
+    step_count = header["step_count"]
+    if type(step_count) is not int or step_count < 0:
+        raise CheckpointError(f"{path}: bad step count {step_count!r}")
+
+    dim = config.embedding_dim
+    f = config.filters_per_height
+
+    def tensor(name, shape, dtype=np.float64):
+        """The named tensor, checked against the shape the config implies
+        (None: any length on that axis)."""
+        arr = tensors[name]
+        if arr.dtype != dtype or len(arr.shape) != len(shape) or any(
+                want is not None and got != want
+                for got, want in zip(arr.shape, shape)):
+            raise CheckpointError(
+                f"{path}: tensor {name} is {arr.dtype}{list(arr.shape)}, "
+                f"expected {np.dtype(dtype)}{list(shape)}"
+            )
+        return arr
 
     def bank_from(bank_key):
         bank = FilterBank()
         for h in config.filter_heights:
-            bank.weights[h] = tensors[f"{bank_key}/W/{h}"]
-            bank.biases[h] = tensors[f"{bank_key}/b/{h}"]
+            bank.weights[h] = tensor(f"{bank_key}/W/{h}", (f, h, dim))
+            bank.biases[h] = tensor(f"{bank_key}/b/{h}", (f,))
         return bank
 
+    emb_p = tensor("emb_p", (vocab.num_rows, dim))
     mode = config.channel2_mode
     if mode == "none":
         channel2 = None
     elif mode == "group_init_share":
-        flat = tensors["group/members_flat"]
-        offsets = tensors["group/offsets"]
+        group_keys = list(header["group_keys"])
+        flat = tensor("group/members_flat", (None,), np.int64)
+        offsets = tensor("group/offsets", (len(group_keys) + 1,), np.int64)
         members = [
             [int(w) for w in flat[offsets[g] : offsets[g + 1]]]
             for g in range(len(offsets) - 1)
@@ -579,7 +671,7 @@ def load_checkpoint(path):
         stats = header.get("group_stats", {})
         table = GroupTable(
             vocab_size=vocab.num_rows,
-            group_keys=list(header["group_keys"]),
+            group_keys=group_keys,
             members=members,
             membership=membership,
             oov_skipped=int(stats.get("oov_skipped", 0)),
@@ -590,37 +682,42 @@ def load_checkpoint(path):
         from .groups import GroupEmbeddings
         from .hashing import build_routing
 
-        group_emb = GroupEmbeddings(vectors=tensors["group/vectors"])
+        group_emb = GroupEmbeddings(vectors=tensor("group/vectors", (len(group_keys), dim)))
         routing = build_routing(table, config.embedding_dim, spec)
         values = np.zeros((vocab.num_rows, config.embedding_dim), dtype=np.float64)
-        private_ids = tensors["ch2/private_ids"]
-        values[private_ids] = tensors["ch2/private_values"]
+        private_ids = tensor("ch2/private_ids", (None,), np.int64)
+        values[private_ids] = tensor("ch2/private_values", (len(private_ids), dim))
         channel2 = SharedEmbedding(
             values=values, table=table, groups=group_emb, spec=spec,
             routing=routing, private_ids=private_ids,
         )
         channel2.sync()
     else:
-        channel2 = tensors["ch2/matrix"]
+        channel2 = tensor("ch2/matrix", (vocab.num_rows, dim))
 
+    banks = 1 if mode == "none" else 2
+    features = banks * len(config.filter_heights) * f
     params = ModelParams(
         config=config,
         vocab=vocab,
-        emb_pretrained=tensors["emb_p"],
+        emb_pretrained=emb_p,
         channel2=channel2,
         bank_p=bank_from("bank_p"),
         bank_s=None if mode == "none" else bank_from("bank_s"),
-        softmax_w=tensors["softmax/W"],
-        softmax_b=tensors["softmax/b"],
-        step_count=int(header["step_count"]),
+        softmax_w=tensor("softmax/W", (features, config.num_classes)),
+        softmax_b=tensor("softmax/b", (config.num_classes,)),
+        step_count=step_count,
     )
     opt = Optimizer(rho=float(header["opt"]["rho"]), eps=float(header["opt"]["eps"]))
-    for name in header["tensors"]:
-        tname = name[0]
+    # optimizer states named apart from the tensor of the parameter they step
+    param_of = {"ch2": "ch2/matrix", "group_emb": "group/vectors",
+                "ch2_private": "ch2/private_values"}
+    for tname in tensors:
         if tname.startswith("opt/") and tname.endswith("/sq_grad"):
             base = tname[len("opt/") : -len("/sq_grad")]
+            shape = tensors[param_of.get(base, base)].shape
             opt.states[base] = AdadeltaState(
-                sq_grad=tensors[tname],
-                sq_delta=tensors[f"opt/{base}/sq_delta"],
+                sq_grad=tensor(tname, shape),
+                sq_delta=tensor(f"opt/{base}/sq_delta", shape),
             )
     return params, opt

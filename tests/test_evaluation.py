@@ -223,6 +223,24 @@ def test_experiment_config_validation():
         ExperimentConfig(model=model, metric="f1")
 
 
+def test_auc_on_more_than_two_classes_fails_before_any_training(monkeypatch):
+    from groupshare import evaluation
+
+    exp, ds, vocab, pretrained = small_experiment(metric="auc")
+    ds.labels[::3] = 2
+    ds = Dataset(name=ds.name, documents=ds.documents, labels=ds.labels,
+                 num_classes=3)
+    exp = ExperimentConfig(model=ModelConfig(num_classes=3, embedding_dim=4),
+                           metric="auc")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a fold was trained")
+
+    monkeypatch.setattr(evaluation, "train_model", never)
+    with pytest.raises(ValueError, match="auc needs two classes"):
+        run_experiment(exp, ds, vocab, pretrained)
+
+
 def test_run_experiment_with_downsampling():
     ds, vocab = make_dataset(seed=70, n_docs=36)
     # skew labels 2:1

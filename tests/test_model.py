@@ -1,7 +1,13 @@
+import functools
+import json
 import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshare import model as model_module
 from groupshare.corpus import random_pretrained
@@ -16,12 +22,13 @@ from groupshare.model import (
     init_params,
     load_checkpoint,
     loss_on,
-    pad_document,
+    pad_chunk,
     predict,
     save_checkpoint,
     train_step,
     zero_gradients,
 )
+from groupshare.nnet import AdadeltaState
 from helpers import random_group_tsv, random_words, vocab_of
 
 
@@ -116,17 +123,17 @@ def test_init_is_deterministic_per_seed():
 def test_forward_requires_padded_input():
     params, *_ = tiny_setup()
     with pytest.raises(ValueError, match="pad"):
-        forward(np.array([0, 1]), params)  # max height is 3
-    logits, _ = forward(np.array([0, 1, 2]), params)
-    assert logits.shape == (2,)
+        forward(np.array([[0, 1]]), params)  # max height is 3
+    logits, _ = forward(np.array([[0, 1, 2]]), params)
+    assert logits.shape == (1, 2)
 
 
 def test_forward_invariant_to_extra_padding():
     params, docs, _, vocab, _, _ = tiny_setup(seed=3)
     pad = vocab.pad_id
     for doc in docs:
-        a = pad_document(doc, params.config.max_height, pad)
-        b = pad_document(doc, params.config.max_height + 4, pad)
+        a = pad_chunk([doc], params.config.max_height, pad)
+        b = pad_chunk([doc], params.config.max_height + 4, pad)
         la, _ = forward(a, params)
         lb, _ = forward(b, params)
         np.testing.assert_array_equal(la, lb)
@@ -134,7 +141,7 @@ def test_forward_invariant_to_extra_padding():
 
 def test_forward_ignores_pad_row_contents():
     params, docs, _, vocab, _, _ = tiny_setup(seed=8)
-    doc = pad_document(docs[0][:2], params.config.max_height, vocab.pad_id)
+    doc = pad_chunk([docs[0][:2]], params.config.max_height, vocab.pad_id)
     before, _ = forward(doc, params)
     params.emb_pretrained[vocab.pad_id] = 1e6
     params.channel2.values[vocab.pad_id] = -1e6
@@ -412,9 +419,6 @@ def test_bad_gradient_leaves_no_half_applied_step(mode, monkeypatch):
 
 
 def test_single_channel_checkpoint_has_no_second_channel_tensors(tmp_path):
-    import json
-    import struct
-
     _, _, _, _, _, _, path = checkpoint_roundtrip("none", tmp_path)
     blob = path.read_bytes()
     (hlen,) = struct.unpack("<Q", blob[8:16])
@@ -422,3 +426,105 @@ def test_single_channel_checkpoint_has_no_second_channel_tensors(tmp_path):
     names = [t[0] for t in header["tensors"]]
     assert not any(n.startswith(("ch2", "bank_s", "group")) for n in names)
     assert "emb_p" in names
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_bytes(mode):
+    """A small trained checkpoint of the given mode, built once."""
+    params, docs, labels, *_ = tiny_setup(seed=19, mode=mode, dropout=0.5)
+    opt = Optimizer()
+    train_step(params, opt, docs, labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        save_checkpoint(path, params, opt)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+def _split(blob):
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16 : 16 + hlen]), blob[16 + hlen :]
+
+
+def _join(header_bytes, payload):
+    return b"GWSCKP01" + struct.pack("<Q", len(header_bytes)) + header_bytes + payload
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    blob = _checkpoint_bytes(draw(st.sampled_from(["none", "group_init_share"])))
+    header, payload = _split(blob)
+    kind = draw(st.sampled_from(["replace", "delete", "entry", "whole", "raw",
+                                 "flip", "truncate"]))
+    if kind in ("replace", "delete"):
+        scope = draw(st.sampled_from(
+            [header] + [v for v in header.values() if isinstance(v, dict)]))
+        key = draw(st.sampled_from(sorted(scope)))
+        if kind == "delete":
+            del scope[key]
+        else:
+            scope[key] = draw(JSON)
+    elif kind == "entry":
+        entry = draw(st.sampled_from(header["tensors"]))
+        entry[draw(st.integers(0, 2))] = draw(
+            JSON | st.sampled_from(["O", "float32", "int8", [-1], [3, -2]]))
+    elif kind == "whole":
+        header = draw(JSON)
+    if kind in ("replace", "delete", "entry", "whole"):
+        return _join(json.dumps(header).encode("utf-8"), payload)
+    if kind == "raw":
+        return _join(draw(st.binary(max_size=40)), payload)
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    data = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=mutated_checkpoints())
+def test_loader_loads_or_raises_checkpoint_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    path.write_bytes(blob)
+    try:
+        params, _ = load_checkpoint(path)
+    except CheckpointError:
+        return
+    predict(params, [np.array([0, 1])])
+
+
+def test_optimizer_state_of_the_wrong_shape_is_rejected_at_load(tmp_path):
+    params, docs, labels, *_ = tiny_setup(seed=3, mode="none")
+    opt = Optimizer()
+    train_step(params, opt, docs, labels)
+    opt.states["softmax/b"] = AdadeltaState.zeros(3)    # the parameter has 2
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, opt)
+    with pytest.raises(CheckpointError, match="opt/softmax/b/sq_grad"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    ([1, 2], "not a JSON object"),
+    ({"format_version": 1}, "no tensor list"),
+    ({"format_version": 1, "tensors": [["emb_p", "O", [2]]]}, "malformed"),
+    ({"format_version": 1, "tensors": [["emb_p", "float64", [-1]]]}, "malformed"),
+])
+def test_malformed_headers_raise_checkpoint_error(tmp_path, header, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_join(json.dumps(header).encode("utf-8"), b""))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+    path.write_bytes(_join(b"\xff\xfe{}", b""))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)

@@ -3,8 +3,10 @@
 ``model.train_step`` pays for the embedding rows a batch touches: Adadelta
 updates only rows with a nonzero gradient, ``aggregate_gradients`` folds
 only those words, and the gradient scaling covers only the batch's rows.
-The reference below does the dense work on every row; both must agree
-to the last bit.
+The reference below takes its gradients from ``model.batch_gradients``
+and does the dense work on every row; both must agree to the last bit.
+The forward and backward pass behind the gradients is held to the
+per-document reference in ``test_batched_reference.py``.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ import pytest
 from groupshare import model
 from groupshare.corpus import random_pretrained
 from groupshare.groups import groups_from_tsv
-from groupshare.nnet import softmax_xent, softmax_xent_backward
 from groupshare.seeding import make_rng
 from helpers import random_group_tsv, random_words, vocab_of
 
@@ -51,18 +52,13 @@ def dense_train_step(params, opt, docs, labels):
         dense_sync(shared)
     config = params.config
     rng = make_rng(config.seed, "dropout", params.step_count)
-    grads = {k: np.zeros_like(g) for k, g in model.zero_gradients(params).items()}
-    total = 0.0
-    for doc, label in zip(docs, labels):
-        ids = model.pad_document(doc, config.max_height, params.vocab.pad_id)
-        logits, cache = model.forward(ids, params, train=True, dropout_rng=rng)
-        loss, probs = softmax_xent(logits, int(label))
-        total += loss
-        model.backward(softmax_xent_backward(probs, int(label)), cache, params,
-                       grads)
-    scale = 1.0 / len(docs)
-    for g in grads.values():
-        g *= scale
+    loss, grads = model.batch_gradients(params, docs, labels, dropout_rng=rng)
+    # batch_gradients scales only the batch's embedding rows by 1/B; a dense
+    # scaling equals it bit for bit when every other row holds +0.0
+    outside = np.setdiff1d(np.arange(params.vocab.num_rows), np.concatenate(docs))
+    for key in ("emb_p", "ch2"):
+        if key in grads:
+            assert not grads[key][outside].view(np.int64).any()
 
     def step(name, param, grad):
         dense_adadelta(param, grad, opt.state(name, param.shape), opt.rho, opt.eps)
@@ -83,7 +79,7 @@ def dense_train_step(params, opt, docs, labels):
     step("softmax/W", params.softmax_w, grads["softmax/W"])
     step("softmax/b", params.softmax_b, grads["softmax/b"])
     params.step_count += 1
-    return total * scale
+    return loss
 
 
 def setup(mode):
