@@ -235,17 +235,23 @@ def evaluate_fold(params, dataset: Dataset, test_idx, metric: str) -> float:
 def run_experiment(exp: ExperimentConfig, dataset: Dataset, vocab: Vocabulary,
                    pretrained: np.ndarray,
                    group_table: GroupTable = None) -> ExperimentReport:
-    """R replications of k-fold cross-validation with fresh models."""
+    """R replications of k-fold cross-validation with fresh models.
+
+    Every split is made, and checked against the metric and the
+    downsampling, before the first fold trains.
+    """
     if exp.metric == "auc" and dataset.num_classes != 2:
         raise ValueError(
             f"metric auc needs two classes; the dataset has {dataset.num_classes}"
         )
+    if exp.downsampling and dataset.num_classes != 2:
+        raise ValueError(
+            f"downsampling needs two classes; the dataset has {dataset.num_classes}"
+        )
     labels = dataset.labels
     n = len(dataset)
-    report = ExperimentReport(
-        metric=exp.metric, replications=exp.replications, folds=exp.folds
-    )
     everything = set(range(n))
+    splits = []
     for rep in range(exp.replications):
         folds = kfold_split(
             labels, exp.folds, derive_seed(exp.seed, "folds", rep),
@@ -261,21 +267,33 @@ def run_experiment(exp: ExperimentConfig, dataset: Dataset, vocab: Vocabulary,
             train_idx = np.array(sorted(everything - test_set), dtype=np.int64)
             if test_set & set(int(i) for i in train_idx):
                 raise AssertionError("train and test folds overlap")
-            config = dataclasses.replace(
-                exp.model, seed=derive_seed(exp.seed, "model", rep, fold_id)
-            )
-            params, _ = train_model(
-                config, dataset, vocab, pretrained, train_idx, exp,
-                group_table=group_table, rep=rep, fold=fold_id,
-            )
-            value = evaluate_fold(params, dataset, test_idx, exp.metric)
-            report.records.append(
-                FoldRecord(
-                    replication=rep,
-                    fold=fold_id,
-                    value=value,
-                    train_size=int(train_idx.size),
-                    test_size=int(test_idx.size),
+            if exp.downsampling and np.unique(labels[train_idx]).size != 2:
+                raise ValueError(
+                    f"downsampling needs both classes in every training split; "
+                    f"replication {rep} fold {fold_id} has "
+                    f"{np.unique(labels[train_idx]).size}"
                 )
+            splits.append((rep, fold_id, train_idx, test_idx))
+
+    report = ExperimentReport(
+        metric=exp.metric, replications=exp.replications, folds=exp.folds
+    )
+    for rep, fold_id, train_idx, test_idx in splits:
+        config = dataclasses.replace(
+            exp.model, seed=derive_seed(exp.seed, "model", rep, fold_id)
+        )
+        params, _ = train_model(
+            config, dataset, vocab, pretrained, train_idx, exp,
+            group_table=group_table, rep=rep, fold=fold_id,
+        )
+        value = evaluate_fold(params, dataset, test_idx, exp.metric)
+        report.records.append(
+            FoldRecord(
+                replication=rep,
+                fold=fold_id,
+                value=value,
+                train_size=int(train_idx.size),
+                test_size=int(test_idx.size),
             )
+        )
     return report

@@ -35,6 +35,21 @@ class GroupTable:
     oov_skipped: int = 0
     multiword_skipped: int = 0
 
+    @classmethod
+    def from_members(cls, vocab_size: int, group_keys, members,
+                     oov_skipped: int = 0, multiword_skipped: int = 0):
+        """A validated table whose membership map is derived from the
+        member lists (group id -> ascending word ids)."""
+        membership = {}
+        for gid, ws in enumerate(members):
+            for w in ws:
+                membership.setdefault(w, []).append(gid)
+        table = cls(vocab_size=vocab_size, group_keys=list(group_keys),
+                    members=members, membership=membership,
+                    oov_skipped=oov_skipped, multiword_skipped=multiword_skipped)
+        table.validate()
+        return table
+
     @property
     def group_count(self) -> int:
         return len(self.members)
@@ -92,20 +107,11 @@ class _TableBuilder:
         keep = [g for g in range(len(self.members)) if self.members[g]]
         keys = [self.group_keys[g] for g in keep]
         members = [sorted(self.members[g]) for g in keep]
-        membership = {}
-        for gid, ws in enumerate(members):
-            for w in ws:
-                membership.setdefault(w, []).append(gid)
-        table = GroupTable(
-            vocab_size=self.vocab.num_rows,
-            group_keys=keys,
-            members=members,
-            membership=membership,
+        return GroupTable.from_members(
+            self.vocab.num_rows, keys, members,
             oov_skipped=len(self.oov_skipped_words),
             multiword_skipped=self.multiword_skipped,
         )
-        table.validate()
-        return table
 
 
 def _iter_lines(lines):

@@ -88,14 +88,18 @@ def sign(word_id, dim, spec: HashSpec):
 
     With signing disabled the factor is +1 everywhere.
     """
+    out = _signs(word_id, dim, spec).astype(np.int64)
+    return int(out) if out.ndim == 0 else out
+
+
+def _signs(word_id, dim, spec: HashSpec) -> np.ndarray:
+    """sign() as int8: -1 where the top bit of the sign hash is set."""
     word = np.asarray(word_id, dtype=np.uint64)
     dim = np.asarray(dim, dtype=np.uint64)
     if not spec.signing_enabled:
-        out = np.ones(np.broadcast(word, dim).shape, dtype=np.int64)
-        return 1 if out.ndim == 0 else out
-    h = _mix(np.uint64(spec.seed) ^ _SIGN_SALT, word, dim)
-    out = np.where((h >> np.uint64(63)).astype(bool), np.int64(-1), np.int64(1))
-    return int(out) if out.ndim == 0 else out
+        return np.ones(np.broadcast(word, dim).shape, dtype=np.int8)
+    top = _mix(np.uint64(spec.seed) ^ _SIGN_SALT, word, dim) >> np.uint64(63)
+    return 1 - 2 * top.astype(np.int8)
 
 
 @dataclass
@@ -133,13 +137,17 @@ def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
         padded[row, : len(gids)] = gids
 
     dims = np.arange(dim, dtype=np.int64)
-    h = _mix(np.uint64(spec.seed), grouped[:, None], dims[None, :])
-    bucket = (h % counts.astype(np.uint64)[:, None]).astype(np.int64)
-    flat = np.take_along_axis(padded, bucket, axis=1)
-    group_rows = flat.astype(np.int32)
+    # a word in one group routes every coordinate to it (hash_dim is 0);
+    # the hash picks among the groups of the other words only
+    group_rows = np.repeat(padded[:, :1].astype(np.int32), dim, axis=1)
+    multi = np.flatnonzero(counts > 1)
+    h = _mix(np.uint64(spec.seed), grouped[multi, None], dims[None, :])
+    bucket = (h % counts[multi].astype(np.uint64)[:, None]).astype(np.int64)
+    group_rows[multi] = np.take_along_axis(padded[multi], bucket, axis=1)
+    flat = group_rows.astype(np.int64)
     flat *= dim
     flat += dims
-    signs = sign(grouped[:, None], dims[None, :], spec).astype(np.int8)
+    signs = _signs(grouped[:, None], dims[None, :], spec)
     return Routing(grouped_ids=grouped, group_rows=group_rows, signs=signs,
                    flat=flat)
 
@@ -172,12 +180,30 @@ class SharedEmbedding:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def sync(self) -> None:
-        """Rebuild grouped rows of ``values`` from the group parameters."""
+    def sync(self, words=None) -> None:
+        """Rebuild grouped rows of ``values`` from the group parameters:
+        every one of them, or those among the ascending ids ``words``."""
         r = self.routing
-        if r.grouped_ids.size == 0:
-            return
-        self.values[r.grouped_ids] = np.take(self.groups.vectors, r.flat) * r.signs
+        ids, flat, signs = r.grouped_ids, r.flat, r.signs
+        if words is not None:
+            _, at = locate(ids, words)
+            ids, flat, signs = ids[at], flat[at], signs[at]
+        rows = np.take(self.groups.vectors, flat)
+        rows *= signs
+        self.values[ids] = rows
+
+
+def locate(sorted_ids: np.ndarray, ids) -> tuple:
+    """Where the entries of ``ids`` that occur in ``sorted_ids`` sit.
+
+    Both arrays ascend. Returns (positions in ``ids``, positions in
+    ``sorted_ids``) of the shared entries.
+    """
+    at = np.searchsorted(sorted_ids, ids)
+    if sorted_ids.size == 0:
+        return at[:0], at[:0]
+    found = np.flatnonzero(sorted_ids.take(at, mode="clip") == ids)
+    return found, at[found]
 
 
 def init_shared(table: GroupTable, group_embeddings: GroupEmbeddings,
@@ -209,32 +235,42 @@ def init_shared(table: GroupTable, group_embeddings: GroupEmbeddings,
     return shared
 
 
-def sync_forward(shared: SharedEmbedding) -> None:
-    """Refresh the materialized matrix before using it in a forward pass."""
-    shared.sync()
+def sync_forward(shared: SharedEmbedding, words=None) -> None:
+    """Refresh the materialized rows a forward pass reads: every grouped
+    row, or those of the ascending ids ``words``."""
+    shared.sync(words)
 
 
-def aggregate_gradients(grad_values: np.ndarray, shared: SharedEmbedding) -> np.ndarray:
-    """Fold a (vocab_size, d) embedding gradient onto the group rows.
+def aggregate_gradients(grad_rows: np.ndarray, words,
+                        shared: SharedEmbedding) -> tuple:
+    """Fold the embedding gradient rows of ``words`` onto the group rows.
 
-    Every group coordinate sums the signed gradients of the word
-    coordinates it feeds, accumulated in ascending word-id order.
-    Returns a (group_count, d) array.
-
-    Only grouped words with a nonzero (or NaN) gradient entry are folded:
-    the sums start at +0.0, so the zero terms left out change no bit.
+    ``words`` holds ascending word ids and ``grad_rows`` their (len(words),
+    d) gradient rows; every other word's gradient is zero. Every group
+    coordinate sums the signed gradients of the word coordinates it
+    feeds, accumulated in ascending word-id order from +0.0, so zero
+    terms change no bit. Returns (groups, rows): the ascending ids of the
+    groups that the grouped words among ``words`` route to, and their
+    (len(groups), d) gradient; every other group's gradient is +0.0.
     """
-    grad_values = np.asarray(grad_values)
-    if grad_values.shape != shared.values.shape:
-        raise ValueError("gradient shape does not match embedding shape")
-    r = shared.routing
+    grad_rows = np.asarray(grad_rows)
+    words = np.asarray(words)
     n, dim = shared.groups.vectors.shape
-    if r.grouped_ids.size == 0:
-        return np.zeros((n, dim), dtype=np.float64)
-    words = np.flatnonzero(grad_values.any(axis=1))
-    rows = np.searchsorted(r.grouped_ids, words)
-    rows = rows[r.grouped_ids.take(rows, mode="clip") == words]
-    signed = grad_values[r.grouped_ids[rows]] * r.signs[rows]
-    out = np.bincount(r.flat[rows].ravel(), weights=signed.ravel(),
-                      minlength=n * dim)
-    return out.reshape(n, dim)
+    if grad_rows.shape != (words.size, dim):
+        raise ValueError("gradient shape does not match the words and the "
+                         "embedding width")
+    r = shared.routing
+    which, at = locate(r.grouped_ids, words)
+    feeding = r.group_rows[at]
+    touched = np.zeros(n, dtype=bool)
+    touched[feeding] = True
+    groups = np.flatnonzero(touched)
+    local = np.zeros(n, dtype=np.int64)
+    local[groups] = np.arange(groups.size)
+    flat = local[feeding]
+    flat *= dim
+    flat += np.arange(dim)
+    signed = grad_rows[which] * r.signs[at]
+    out = np.bincount(flat.ravel(), weights=signed.ravel(),
+                      minlength=groups.size * dim)
+    return groups, out.reshape(groups.size, dim)

@@ -26,12 +26,14 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .corpus import Vocabulary
-from .groups import GroupTable, init_group_embeddings
+from .groups import GroupEmbeddings, GroupTable, init_group_embeddings
 from .hashing import (
     HashSpec,
     SharedEmbedding,
     aggregate_gradients,
+    build_routing,
     init_shared,
+    locate,
     sync_forward,
 )
 from .nnet import (
@@ -271,19 +273,20 @@ def forward(ids: np.ndarray, params: ModelParams, train: bool = False,
     )
 
 
-def zero_gradients(params: ModelParams) -> dict:
+def zero_gradients(params: ModelParams, n_rows: int) -> dict:
     """Gradient accumulators keyed like the parameters they mirror.
 
-    The embedding gradients come from ``np.zeros``, which can hand out
-    pages the system zeroes lazily, as a batch touches only a few rows.
+    The embedding gradients hold ``n_rows`` rows, one for each id that
+    ``batch_words`` gives for the batch, in that order.
     """
+    dim = params.config.embedding_dim
     grads = {
-        "emb_p": np.zeros(params.emb_pretrained.shape),
+        "emb_p": np.zeros((n_rows, dim)),
         "softmax/W": np.zeros_like(params.softmax_w),
         "softmax/b": np.zeros_like(params.softmax_b),
     }
     if params.channel2 is not None:
-        grads["ch2"] = np.zeros(params.channel2_values().shape)
+        grads["ch2"] = np.zeros((n_rows, dim))
     for bank_key, bank in (("bank_p", params.bank_p), ("bank_s", params.bank_s)):
         if bank is None:
             continue
@@ -294,9 +297,10 @@ def zero_gradients(params: ModelParams) -> dict:
 
 
 def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
-             grads: dict) -> None:
+             grads: dict, words: np.ndarray) -> None:
     """Accumulate the gradients of a chunk's summed loss into ``grads``;
-    ``d_logits`` is (documents, classes)."""
+    ``d_logits`` is (documents, classes), and the embedding gradient rows
+    are those of the ascending ids ``words``, which hold the chunk's."""
     config = params.config
     grads["softmax/W"] += cache.dropped.T @ d_logits
     grads["softmax/b"] += d_logits.sum(axis=0)
@@ -304,6 +308,7 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     if cache.drop_mask is not None:
         d_feat = d_feat * cache.drop_mask
 
+    rows = np.searchsorted(words, cache.ids[cache.real])
     f = config.filters_per_height
     pos = 0
     for grad_key, bank_key, per_height in cache.channels:
@@ -316,36 +321,41 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
             grads[f"{bank_key}/b/{h}"] += d_b
             dx_total = dx if dx_total is None else dx_total + dx
         dx_total = dx_total.reshape(cache.ids.shape + (-1,))
-        np.add.at(grads[grad_key], cache.ids[cache.real], dx_total[cache.real])
+        np.add.at(grads[grad_key], rows, dx_total[cache.real])
+
+
+def batch_words(docs) -> np.ndarray:
+    """The ascending distinct word ids of a batch of documents."""
+    return np.unique(np.concatenate(docs)).astype(np.int64, copy=False)
 
 
 def batch_gradients(params: ModelParams, docs, labels, train: bool = True,
                     dropout_rng: np.random.Generator = None):
-    """Mean loss and mean gradients over a batch of documents."""
+    """Mean loss and mean gradients over a batch of documents.
+
+    Returns (loss, grads, words): ``grads["emb_p"]`` and ``grads["ch2"]``
+    hold the gradient rows of the ascending word ids ``words`` only; the
+    gradient of every other embedding row is +0.0.
+    """
     if len(docs) == 0:
         raise ValueError("empty batch")
     if len(docs) != len(labels):
         raise ValueError("documents and labels disagree in length")
     labels = np.asarray(labels, dtype=np.int64)
-    grads = zero_gradients(params)
+    words = batch_words(docs)
+    grads = zero_gradients(params, len(words))
     total_loss = 0.0
-    batch_ids = []
     for start, ids in padded_chunks(params, docs):
-        batch_ids.append(ids.ravel())
         chunk_labels = labels[start : start + len(ids)]
         logits, cache = forward(ids, params, train=train, dropout_rng=dropout_rng)
         loss, probs = softmax_xent(logits, chunk_labels)
         total_loss += loss.sum()
-        backward(softmax_xent_backward(probs, chunk_labels), cache, params, grads)
+        backward(softmax_xent_backward(probs, chunk_labels), cache, params, grads,
+                 words)
     scale = 1.0 / len(docs)
-    # embedding rows outside the batch hold +0.0, which scaling leaves as is
-    rows = np.unique(np.concatenate(batch_ids))
-    for key in grads:
-        if key in ("emb_p", "ch2"):
-            grads[key][rows] *= scale
-        else:
-            grads[key] *= scale
-    return total_loss * scale, grads
+    for grad in grads.values():
+        grad *= scale
+    return total_loss * scale, grads, words
 
 
 @dataclass
@@ -363,68 +373,80 @@ class Optimizer:
             self.states[name] = st
         return st
 
-    def update(self, name: str, param: np.ndarray, grad: np.ndarray) -> None:
-        adadelta_update(param, grad, self.state(name, param.shape),
-                        rho=self.rho, eps=self.eps)
 
-
-def apply_gradients(params: ModelParams, opt: Optimizer, grads: dict) -> None:
+def apply_gradients(params: ModelParams, opt: Optimizer, grads: dict,
+                    words: np.ndarray) -> None:
     """One Adadelta step on every parameter tensor.
+
+    ``grads`` and ``words`` are as ``batch_gradients`` returns them. The
+    embedding rows outside ``words`` and the group rows their words do
+    not route to have a +0.0 gradient, so they only decay their
+    accumulators; the step works on the other rows alone.
 
     Every gradient is checked for shape and finiteness before any tensor
     moves, so a bad gradient raises ValueError and leaves the parameters,
     the accumulators and the step count as they were.
     """
     config = params.config
-    updates = [("emb_p", params.emb_pretrained, grads["emb_p"])]
-    shared = params.channel2 if params.is_shared else None
-    private = None
-    if shared is not None:
-        group_grad = aggregate_gradients(grads["ch2"], shared)
-        updates.append(("group_emb", shared.groups.vectors, group_grad))
+    # (state name, state shape, parameter, gradient, rows of the parameter,
+    # rows of the state); rows None: the whole tensor
+    emb_shape = params.emb_pretrained.shape
+    updates = [("emb_p", emb_shape, params.emb_pretrained, grads["emb_p"],
+                words, words)]
+    if params.is_shared:
+        shared = params.channel2
+        groups, group_grad = aggregate_gradients(grads["ch2"], words, shared)
+        vectors = shared.groups.vectors
+        updates.append(("group_emb", vectors.shape, vectors, group_grad,
+                        groups, groups))
         if shared.private_ids.size:
-            private = shared.values[shared.private_ids]
-            updates.append(("ch2_private", private, grads["ch2"][shared.private_ids]))
+            # the optimizer state numbers the private rows 0, 1, ...
+            which, at = locate(shared.private_ids, words)
+            updates.append(("ch2_private", (shared.private_ids.size, emb_shape[1]),
+                            shared.values, grads["ch2"][which], words[which], at))
     elif params.channel2 is not None:
-        updates.append(("ch2", params.channel2, grads["ch2"]))
-
+        updates.append(("ch2", emb_shape, params.channel2, grads["ch2"],
+                        words, words))
+    dense = []
     for bank_key, bank in (("bank_p", params.bank_p), ("bank_s", params.bank_s)):
-        if bank is None:
-            continue
-        for h in config.filter_heights:
-            updates.append((f"{bank_key}/W/{h}", bank.weights[h],
-                            grads[f"{bank_key}/W/{h}"]))
-            updates.append((f"{bank_key}/b/{h}", bank.biases[h],
-                            grads[f"{bank_key}/b/{h}"]))
-    updates.append(("softmax/W", params.softmax_w, grads["softmax/W"]))
-    updates.append(("softmax/b", params.softmax_b, grads["softmax/b"]))
+        if bank is not None:
+            for h in config.filter_heights:
+                dense += [(f"{bank_key}/W/{h}", bank.weights[h]),
+                          (f"{bank_key}/b/{h}", bank.biases[h])]
+    dense += [("softmax/W", params.softmax_w), ("softmax/b", params.softmax_b)]
+    updates += [(name, param.shape, param, grads[name], None, None)
+                for name, param in dense]
 
-    for name, param, grad in updates:
-        if np.shape(grad) != param.shape:
+    for name, _, param, grad, rows, _ in updates:
+        shape = param.shape if rows is None else (len(rows),) + param.shape[1:]
+        if np.shape(grad) != shape:
             raise ValueError(f"gradient shape does not match parameter {name}")
         if not np.isfinite(grad).all():
             raise ValueError(f"non-finite gradient for {name}")
-    for name, param, grad in updates:
-        opt.update(name, param, grad)
-    if private is not None:
-        shared.values[shared.private_ids] = private
+    for name, state_shape, param, grad, rows, state_rows in updates:
+        adadelta_update(param, grad, opt.state(name, state_shape), rho=opt.rho,
+                        eps=opt.eps, rows=rows, state_rows=state_rows)
 
 
 def train_step(params: ModelParams, opt: Optimizer, docs, labels) -> float:
-    """One mini-batch step: sync tied rows, compute gradients, update.
+    """One mini-batch step: sync the batch's tied rows, compute gradients,
+    update.
 
+    Only the batch's grouped rows of the shared matrix are rebuilt, as
+    the step reads no other; ``predict`` and ``loss_on`` rebuild them all.
     The dropout stream is derived from (seed, step counter), so resuming
     from a checkpoint replays the identical sequence of masks.
     """
     if params.is_shared:
-        sync_forward(params.channel2)
+        sync_forward(params.channel2, batch_words(docs))
     rng = None
     if params.config.dropout_rate > 0.0:
         rng = make_rng(params.config.seed, "dropout", params.step_count)
-    loss, grads = batch_gradients(params, docs, labels, train=True, dropout_rng=rng)
+    loss, grads, words = batch_gradients(params, docs, labels, train=True,
+                                         dropout_rng=rng)
     if not np.isfinite(loss):
         raise RuntimeError(f"non-finite loss at step {params.step_count}")
-    apply_gradients(params, opt, grads)
+    apply_gradients(params, opt, grads, words)
     params.step_count += 1
     return float(loss)
 
@@ -664,28 +686,21 @@ def _restore(path, header: dict, tensors: dict):
             [int(w) for w in flat[offsets[g] : offsets[g + 1]]]
             for g in range(len(offsets) - 1)
         ]
-        membership = {}
-        for gid, ws in enumerate(members):
-            for w in ws:
-                membership.setdefault(w, []).append(gid)
         stats = header.get("group_stats", {})
-        table = GroupTable(
-            vocab_size=vocab.num_rows,
-            group_keys=group_keys,
-            members=members,
-            membership=membership,
+        table = GroupTable.from_members(
+            vocab.num_rows, group_keys, members,
             oov_skipped=int(stats.get("oov_skipped", 0)),
             multiword_skipped=int(stats.get("multiword_skipped", 0)),
         )
-        table.validate()
         spec = HashSpec(**header["hash_spec"])
-        from .groups import GroupEmbeddings
-        from .hashing import build_routing
-
         group_emb = GroupEmbeddings(vectors=tensor("group/vectors", (len(group_keys), dim)))
         routing = build_routing(table, config.embedding_dim, spec)
         values = np.zeros((vocab.num_rows, config.embedding_dim), dtype=np.float64)
         private_ids = tensor("ch2/private_ids", (None,), np.int64)
+        grouped = np.zeros(vocab.num_rows, dtype=bool)
+        grouped[routing.grouped_ids] = True
+        if not np.array_equal(private_ids, np.flatnonzero(~grouped)):
+            raise CheckpointError(f"{path}: private rows are not the ungrouped words")
         values[private_ids] = tensor("ch2/private_values", (len(private_ids), dim))
         channel2 = SharedEmbedding(
             values=values, table=table, groups=group_emb, spec=spec,

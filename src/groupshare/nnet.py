@@ -217,7 +217,8 @@ class AdadeltaState:
 
 
 def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
-                    rho: float = 0.95, eps: float = 1e-6) -> None:
+                    rho: float = 0.95, eps: float = 1e-6, rows=None,
+                    state_rows=None) -> None:
     """One in-place update step.
 
     Accumulate E[g^2], take the step scaled by the ratio of the two RMS
@@ -227,27 +228,32 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
         dx     = - sqrt(E[dx2] + eps) / sqrt(E[g2] + eps) * g
         E[dx2] = rho E[dx2] + (1-rho) dx^2
 
-    A leading-axis row whose gradient is +0.0 throughout only decays its
-    two accumulators by rho: its step is -0.0, which moves no parameter.
-    When some rows are such, both accumulators decay in one in-place
-    pass and the formulas above run on the other ("live") rows alone,
-    which gives the dense step bit for bit at the cost of the live rows.
+    With ``rows`` (distinct leading-axis rows of ``param``), ``grad``
+    holds those rows only and every other row's gradient is +0.0. Such a
+    row only decays its two accumulators by rho: its step is -0.0, which
+    moves no parameter. So the formulas run on a gathered copy of the
+    given rows, both accumulators decay in one in-place pass, and the
+    rows are written back, which gives the dense step bit for bit.
+    ``state_rows`` numbers the same rows in ``state`` when its rows are
+    not those of ``param`` (default: ``rows``).
     """
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != param.shape:
-        raise ValueError("gradient shape does not match parameter shape")
-    live = _live_rows(grad)
-    if live is None:
+    if rows is None:
+        if grad.shape != param.shape:
+            raise ValueError("gradient shape does not match parameter shape")
         _adadelta_step(param, grad, state, rho, eps)
         return
-    rows = AdadeltaState(sq_grad=state.sq_grad[live], sq_delta=state.sq_delta[live])
-    moved = param[live]
-    _adadelta_step(moved, grad[live], rows, rho, eps)
+    if grad.shape != (len(rows),) + param.shape[1:]:
+        raise ValueError("gradient shape does not match the parameter rows")
+    at = rows if state_rows is None else state_rows
+    acc = AdadeltaState(sq_grad=state.sq_grad[at], sq_delta=state.sq_delta[at])
+    moved = param[rows]
+    _adadelta_step(moved, grad, acc, rho, eps)
     state.sq_grad *= rho
     state.sq_delta *= rho
-    state.sq_grad[live] = rows.sq_grad
-    state.sq_delta[live] = rows.sq_delta
-    param[live] = moved
+    state.sq_grad[at] = acc.sq_grad
+    state.sq_delta[at] = acc.sq_delta
+    param[rows] = moved
 
 
 def _adadelta_step(param, grad, state, rho, eps) -> None:
@@ -259,19 +265,6 @@ def _adadelta_step(param, grad, state, rho, eps) -> None:
     state.sq_delta *= rho
     state.sq_delta += (1.0 - rho) * delta * delta
     param += delta
-
-
-def _live_rows(grad: np.ndarray):
-    """Ids of the leading-axis rows holding any entry other than +0.0.
-
-    NaN, inf and -0.0 count as live. Returns None when every row is live,
-    or when the array has no leading axis.
-    """
-    if grad.ndim == 0:
-        return None
-    bits = grad.view(np.int64)
-    live = np.flatnonzero(bits.any(axis=tuple(range(1, grad.ndim))))
-    return None if live.size == grad.shape[0] else live
 
 
 @dataclass

@@ -34,3 +34,14 @@ def random_group_tsv(rng: np.random.Generator, words, n_groups: int,
         w = words[int(rng.integers(0, len(words)))]
         lines.append(f"g{g}\t{w}")
     return lines
+
+
+def dense_gradients(params, grads, words) -> dict:
+    """``batch_gradients``' gradients with the embedding rows of ``words``
+    scattered into vocabulary-sized matrices, +0.0 everywhere else."""
+    out = dict(grads)
+    for key in ("emb_p", "ch2"):
+        if key in grads:
+            out[key] = np.zeros((params.vocab.num_rows, grads[key].shape[1]))
+            out[key][words] = grads[key]
+    return out

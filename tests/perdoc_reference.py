@@ -103,7 +103,7 @@ def backward(d_logits, cache, params, grads):
 def batch_gradients(params, docs, labels, train=True, dropout_rng=None):
     """Mean loss and mean gradients, one document at a time."""
     pad_to = params.config.max_height
-    grads = {k: np.zeros_like(g) for k, g in model.zero_gradients(params).items()}
+    grads = model.zero_gradients(params, params.vocab.num_rows)
     total = 0.0
     for doc, label in zip(docs, labels):
         ids = pad_document(doc, pad_to, params.vocab.pad_id)

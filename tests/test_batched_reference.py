@@ -26,7 +26,7 @@ from groupshare.nnet import (
     softmax_xent,
     softmax_xent_backward,
 )
-from helpers import random_group_tsv, random_words, vocab_of
+from helpers import dense_gradients, random_group_tsv, random_words, vocab_of
 
 MODES = ("none", "random", "group_init_no_share", "group_init_share")
 RTOL = 1e-12
@@ -90,8 +90,9 @@ def test_chunked_pass_matches_per_document_reference(mode, heights, dropout_rate
     docs, labels = corpus
     params = build(mode, heights, dropout_rate, seed)
 
-    loss, grads = model.batch_gradients(params, docs, labels, train=True,
-                                        dropout_rng=np.random.default_rng(seed))
+    loss, grads, words = model.batch_gradients(
+        params, docs, labels, train=True, dropout_rng=np.random.default_rng(seed))
+    grads = dense_gradients(params, grads, words)
     ref_loss, ref_grads = reference.batch_gradients(
         params, docs, labels, train=True, dropout_rng=np.random.default_rng(seed))
     assert_close(loss, ref_loss)

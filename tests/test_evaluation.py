@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,30 @@ def test_auc_on_more_than_two_classes_fails_before_any_training(monkeypatch):
     monkeypatch.setattr(evaluation, "train_model", never)
     with pytest.raises(ValueError, match="auc needs two classes"):
         run_experiment(exp, ds, vocab, pretrained)
+
+
+def test_downsampling_is_checked_before_any_training(monkeypatch):
+    from groupshare import evaluation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a fold was trained")
+
+    monkeypatch.setattr(evaluation, "train_model", never)
+    exp, ds, vocab, pretrained = small_experiment()
+    exp = dataclasses.replace(exp, downsampling=True, stratified=False)
+    # one document of class 1: the training part of its fold lacks class 1
+    labels = np.zeros(len(ds), dtype=np.int64)
+    labels[-1] = 1
+    skewed = Dataset(name=ds.name, documents=ds.documents, labels=labels,
+                     num_classes=2)
+    with pytest.raises(ValueError, match="both classes in every training split"):
+        run_experiment(exp, skewed, vocab, pretrained)
+
+    three = Dataset(name=ds.name, documents=ds.documents,
+                    labels=np.arange(len(ds)) % 3, num_classes=3)
+    exp = dataclasses.replace(exp, model=dataclasses.replace(exp.model, num_classes=3))
+    with pytest.raises(ValueError, match="downsampling needs two classes"):
+        run_experiment(exp, three, vocab, pretrained)
 
 
 def test_run_experiment_with_downsampling():

@@ -170,6 +170,18 @@ def test_validate_catches_corruption():
         wrong.validate()
 
 
+def test_from_members_derives_membership_and_validates():
+    vocab = vocab_of(["a", "b", "c"])
+    built = groups_from_tsv(["g\ta", "g\tc", "h\tc"], vocab)
+    table = GroupTable.from_members(vocab.num_rows, ["g", "h"], [[0, 2], [2]])
+    assert table.membership == built.membership == {0: [0], 2: [0, 1]}
+    assert table.members == built.members
+    with pytest.raises(ValueError, match="ascending"):
+        GroupTable.from_members(vocab.num_rows, ["g"], [[2, 0]])
+    with pytest.raises(ValueError, match="outside"):
+        GroupTable.from_members(vocab.num_rows, ["g"], [[vocab.num_rows]])
+
+
 def test_group_tsv_dump_round_trips(tmp_path):
     rng = np.random.default_rng(55)
     for trial in range(10):

@@ -201,8 +201,17 @@ def test_aggregate_gradients_matches_loop_oracle():
         shared = init_shared(table, init_group_embeddings(table, pretrained),
                              pretrained, spec)
         grad = rng.normal(0, 1, size=shared.values.shape)
-        got = aggregate_gradients(grad, shared)
+        got = _aggregate_all(grad, shared)
         np.testing.assert_array_equal(got, _loop_aggregate(grad, shared))
+
+
+def _aggregate_all(grad, shared):
+    """aggregate_gradients over every word, as a (group_count, d) matrix."""
+    words = np.arange(grad.shape[0])
+    groups, rows = aggregate_gradients(grad, words, shared)
+    out = np.zeros_like(shared.groups.vectors)
+    out[groups] = rows
+    return out
 
 
 def _loop_aggregate(grad, shared):
@@ -240,16 +249,49 @@ def _random_shared(seed, dim, signing=True):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9),
-       zero_share=st.floats(0.0, 1.0), signing=st.booleans())
-def test_aggregate_skipping_zero_rows_matches_dense_bytes(seed, dim, zero_share,
-                                                          signing):
+       word_share=st.floats(0.0, 1.0), zero_share=st.floats(0.0, 1.0),
+       signing=st.booleans())
+def test_aggregate_skipping_zero_rows_matches_dense_bytes(seed, dim, word_share,
+                                                          zero_share, signing):
+    # the rows of some words, zero and -0.0 rows among them, against the
+    # dense fold of a matrix holding +0.0 for every other word
     rng, shared = _random_shared(seed, dim, signing)
-    grad = rng.normal(0, 1, size=shared.values.shape)
-    grad[rng.random(grad.shape[0]) < zero_share] = 0.0
-    grad[rng.random(grad.shape) < 0.1] = 0.0     # zero entries in live rows
-    got = aggregate_gradients(grad, shared)
+    n = shared.values.shape[0]
+    words = np.flatnonzero(rng.random(n) < word_share)
+    rows = rng.normal(0, 1, size=(words.size, dim))
+    rows[rng.random(words.size) < zero_share] = 0.0
+    rows[rng.random(words.size) < 0.1] = -0.0
+    rows[rng.random(rows.shape) < 0.1] = 0.0     # zero entries in other rows
+    grad = np.zeros((n, dim))
+    grad[words] = rows
+    groups, got_rows = aggregate_gradients(rows, words, shared)
+    r = shared.routing
+    fed = r.group_rows[np.isin(r.grouped_ids, words)]
+    np.testing.assert_array_equal(groups, np.unique(fed))
+    got = np.zeros_like(shared.groups.vectors)
+    got[groups] = got_rows
     assert got.tobytes() == _dense_aggregate(grad, shared).tobytes()
     np.testing.assert_array_equal(got, _loop_aggregate(grad, shared))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9),
+       word_share=st.floats(0.0, 1.0), signing=st.booleans())
+def test_sync_of_some_words_matches_full_sync_on_their_rows(seed, dim, word_share,
+                                                           signing):
+    rng, shared = _random_shared(seed, dim, signing)
+    shared.groups.vectors[...] = rng.normal(0, 1, size=shared.groups.vectors.shape)
+    before = shared.values.copy()
+    shared.sync()
+    full = shared.values.copy()
+    shared.values[...] = before
+    words = np.flatnonzero(rng.random(before.shape[0]) < word_share)
+    sync_forward(shared, words)
+    grouped = np.isin(words, shared.routing.grouped_ids)
+    synced = words[grouped]
+    assert shared.values[synced].tobytes() == full[synced].tobytes()
+    others = np.setdiff1d(np.arange(before.shape[0]), synced)
+    assert shared.values[others].tobytes() == before[others].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,7 +307,7 @@ def test_aggregate_is_the_adjoint_of_sync(seed, dim, signing):
     rows = shared.routing.grouped_ids
     terms = shared.values[rows] * e[rows]
     lhs = terms.sum()
-    rhs = (g * aggregate_gradients(e, shared)).sum()
+    rhs = (g * _aggregate_all(e, shared)).sum()
     assert abs(lhs - rhs) <= 1e-12 * np.abs(terms).sum()
 
 
@@ -276,7 +318,7 @@ def test_aggregate_gradients_shape_check():
     shared = init_shared(table, init_group_embeddings(table, pretrained),
                          pretrained, HashSpec(seed=0))
     with pytest.raises(ValueError, match="shape"):
-        aggregate_gradients(np.zeros((2, 2)), shared)
+        aggregate_gradients(np.zeros((2, 2)), np.array([0, 1]), shared)
 
 
 def test_init_shared_validates_shapes():

@@ -29,7 +29,7 @@ from groupshare.model import (
     zero_gradients,
 )
 from groupshare.nnet import AdadeltaState
-from helpers import random_group_tsv, random_words, vocab_of
+from helpers import dense_gradients, random_group_tsv, random_words, vocab_of
 
 
 def tiny_setup(seed=0, n_words=14, dim=5, mode="group_init_share",
@@ -158,11 +158,13 @@ def test_initial_loss_is_log_num_classes():
 def test_batch_gradient_is_mean_of_per_document_gradients():
     params, docs, labels, *_ = tiny_setup(seed=6)
     params.softmax_w += np.random.default_rng(0).normal(0, 0.3, params.softmax_w.shape)
-    loss, grads = batch_gradients(params, docs[:5], labels[:5], train=False)
+    loss, grads, words = batch_gradients(params, docs[:5], labels[:5], train=False)
+    grads = dense_gradients(params, grads, words)
     summed = {k: np.zeros_like(v) for k, v in grads.items()}
     total = 0.0
     for doc, label in zip(docs[:5], labels[:5]):
-        l1, g1 = batch_gradients(params, [doc], [label], train=False)
+        l1, g1, w1 = batch_gradients(params, [doc], [label], train=False)
+        g1 = dense_gradients(params, g1, w1)
         total += l1
         for k in summed:
             summed[k] += g1[k]
@@ -175,7 +177,8 @@ def test_gradients_pass_finite_difference_spot_checks():
     params, docs, labels, *_ = tiny_setup(seed=11, mode="random")
     rng = np.random.default_rng(5)
     params.softmax_w += rng.normal(0, 0.3, params.softmax_w.shape)
-    _, grads = batch_gradients(params, docs[:4], labels[:4], train=False)
+    _, grads, words = batch_gradients(params, docs[:4], labels[:4], train=False)
+    grads = dense_gradients(params, grads, words)
     eps = 1e-6
     targets = [
         ("emb_p", params.emb_pretrained),
@@ -260,7 +263,8 @@ def test_predict_shapes_and_probabilities():
 
 def test_zero_gradients_cover_every_parameter():
     params, *_ = tiny_setup()
-    grads = zero_gradients(params)
+    grads = zero_gradients(params, 3)
+    assert grads["emb_p"].shape == grads["ch2"].shape == (3, 5)
     expected = {
         "emb_p", "ch2", "softmax/W", "softmax/b",
         "bank_p/W/2", "bank_p/b/2", "bank_p/W/3", "bank_p/b/3",
@@ -268,7 +272,7 @@ def test_zero_gradients_cover_every_parameter():
     }
     assert set(grads) == expected
     solo, *_ = tiny_setup(mode="none")
-    assert "ch2" not in zero_gradients(solo)
+    assert "ch2" not in zero_gradients(solo, 3)
 
 
 def checkpoint_roundtrip(mode, tmp_path, dropout=0.5):
@@ -402,20 +406,75 @@ def test_bad_gradient_leaves_no_half_applied_step(mode, monkeypatch):
     real = model_module.batch_gradients
 
     def poisoned(*args, **kwargs):
-        loss, grads = real(*args, **kwargs)
+        loss, grads, words = real(*args, **kwargs)
         grads["softmax/b"][-1] = np.nan     # the last tensor updated
-        return loss, grads
+        return loss, grads, words
 
     monkeypatch.setattr(model_module, "batch_gradients", poisoned)
     with pytest.raises(ValueError, match="non-finite"):
         train_step(params, opt, docs, labels)
     assert _state_bytes(params, opt) == before
 
-    _, grads = real(params, docs, labels, train=False)
+    _, grads, words = real(params, docs, labels, train=False)
     grads["softmax/W"] = grads["softmax/W"][:-1]
     with pytest.raises(ValueError, match="shape"):
-        apply_gradients(params, opt, grads)
+        apply_gradients(params, opt, grads, words)
     assert _state_bytes(params, opt) == before
+
+    # the embedding gradient carries one row per batch word
+    _, grads, words = real(params, docs, labels, train=False)
+    grads["emb_p"] = grads["emb_p"][:-1]
+    with pytest.raises(ValueError, match="shape"):
+        apply_gradients(params, opt, grads, words)
+    _, grads, words = real(params, docs, labels, train=False)
+    grads["emb_p"][0, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_gradients(params, opt, grads, words)
+    assert _state_bytes(params, opt) == before
+
+
+def test_predict_after_training_leaves_every_tied_row_current(tmp_path):
+    """A training step rebuilds only its batch's tied rows; ``predict``
+    must leave every grouped row equal to +-its routed group coordinate,
+    and a checkpoint must reload to the same bytes."""
+    from groupshare.hashing import hash_dim, sign
+
+    params, docs, labels, *_ = tiny_setup(seed=23, n_words=30, mode="group_init_share",
+                                          dropout=0.5)
+    opt = Optimizer()
+    for step in range(6):
+        batch = slice(3 * (step % 4), 3 * (step % 4) + 3)
+        train_step(params, opt, docs[batch], labels[batch])
+    shared = params.channel2
+    synced = shared.values.copy()
+    shared.sync()
+    stale = (synced != shared.values).any()
+    shared.values[...] = synced
+    assert stale, "training left no tied row stale; the test shows nothing"
+
+    predict(params, docs)
+    table, spec = shared.table, shared.spec
+    for w in table.grouped_word_ids():
+        gids = table.groups_of(w)
+        for j in range(shared.dim):
+            g = gids[hash_dim(w, j, len(gids), spec)]
+            assert shared.values[w, j] == shared.groups.vectors[g, j] * sign(w, j, spec)
+
+    def tensors(params, opt):
+        out = {"ch2/values": params.channel2.values,
+               "group/vectors": params.channel2.groups.vectors}
+        out.update(model_module._collect_tensors(params, opt))
+        return out
+
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, opt)
+    loaded = load_checkpoint(path)
+    a, b = tensors(params, opt), tensors(*loaded)
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert a[name].dtype == b[name].dtype and a[name].shape == b[name].shape
+        assert a[name].tobytes() == b[name].tobytes(), name
+    assert loaded[0].step_count == params.step_count
 
 
 def test_single_channel_checkpoint_has_no_second_channel_tensors(tmp_path):

@@ -245,6 +245,13 @@ def test_adadelta_rejects_bad_gradients():
         adadelta_update(param, grad, state)
     assert (param == 1.0).all()
     assert (state.sq_grad == 0.5).all() and (state.sq_delta == 0.25).all()
+    # the same with the rows given: caught before any accumulator decays
+    with pytest.raises(ValueError, match="non-finite"):
+        adadelta_update(param, grad[[0, 2]], state, rows=np.array([0, 2]))
+    assert (param == 1.0).all()
+    assert (state.sq_grad == 0.5).all() and (state.sq_delta == 0.25).all()
+    with pytest.raises(ValueError, match="shape"):
+        adadelta_update(param, grad[[0, 2]], state, rows=np.array([0, 1, 2]))
 
 
 def dense_adadelta(param, grad, state, rho, eps):
@@ -255,6 +262,27 @@ def dense_adadelta(param, grad, state, rho, eps):
     state.sq_delta *= rho
     state.sq_delta += (1.0 - rho) * delta * delta
     param += delta
+
+
+def step_rows(rng, n, live):
+    """Ascending distinct rows to step: all, none or a random subset."""
+    if live == "all":
+        return np.arange(n)
+    if live == "none":
+        return np.arange(0)
+    return np.flatnonzero(rng.random(n) < 0.5)
+
+
+def row_gradient(rng, rows, shape):
+    """Gradient rows for ``rows`` (some +0.0, some -0.0) and the dense
+    gradient they stand for, +0.0 on every other row."""
+    grad_rows = rng.normal(0, 1, size=(rows.size,) + shape[1:]) * 10.0 ** rng.integers(-6, 3)
+    kind = rng.random(rows.size)
+    grad_rows[kind < 0.2] = 0.0
+    grad_rows[kind > 0.9] = -0.0
+    grad = np.zeros(shape)
+    grad[rows] = grad_rows
+    return grad_rows, grad
 
 
 @settings(max_examples=80, deadline=None)
@@ -274,15 +302,39 @@ def test_row_sparse_adadelta_matches_dense_bytes(seed, shape, live, steps, rho, 
     state = AdadeltaState.zeros(shape)
     ref_param, ref_state = param.copy(), AdadeltaState.zeros(shape)
     for _ in range(steps):
-        grad = rng.normal(0, 1, size=shape) * 10.0 ** rng.integers(-6, 3)
-        if live == "none":
-            grad[...] = 0.0
-        elif live == "some":
-            rows = rng.random(shape[0])
-            grad[rows < 0.5] = 0.0
-            grad[rows > 0.9] = -0.0     # -0.0 rows are live
-        adadelta_update(param, grad, state, rho=rho, eps=eps)
+        rows = step_rows(rng, shape[0], live)
+        grad_rows, grad = row_gradient(rng, rows, shape)
+        adadelta_update(param, grad_rows, state, rho=rho, eps=eps, rows=rows)
         dense_adadelta(ref_param, grad, ref_state, rho, eps)
+        assert param.tobytes() == ref_param.tobytes()
+        assert state.sq_grad.tobytes() == ref_state.sq_grad.tobytes()
+        assert state.sq_delta.tobytes() == ref_state.sq_delta.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 9),
+    dim=st.integers(1, 4),
+    live=st.sampled_from(["some", "all", "none"]),
+    steps=st.integers(1, 3),
+)
+def test_adadelta_state_rows_match_gathered_dense_step(seed, n, dim, live, steps):
+    # the state covers a subset of the parameter's rows (``ids``), numbered
+    # apart: the dense reference gathers that subset, steps it and writes
+    # it back
+    rng = np.random.default_rng(seed)
+    param = rng.normal(0, 1, size=(n + 3, dim))
+    ids = np.sort(rng.choice(n + 3, size=n, replace=False))
+    state = AdadeltaState.zeros((n, dim))
+    ref_param, ref_state = param.copy(), AdadeltaState.zeros((n, dim))
+    for _ in range(steps):
+        at = step_rows(rng, n, live)
+        grad_rows, grad = row_gradient(rng, at, (n, dim))
+        adadelta_update(param, grad_rows, state, rows=ids[at], state_rows=at)
+        gathered = ref_param[ids]
+        dense_adadelta(gathered, grad, ref_state, 0.95, 1e-6)
+        ref_param[ids] = gathered
         assert param.tobytes() == ref_param.tobytes()
         assert state.sq_grad.tobytes() == ref_state.sq_grad.tobytes()
         assert state.sq_delta.tobytes() == ref_state.sq_delta.tobytes()

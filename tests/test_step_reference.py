@@ -1,9 +1,11 @@
 """The training step against a dense reference step written out here.
 
-``model.train_step`` pays for the embedding rows a batch touches: Adadelta
-updates only rows with a nonzero gradient, ``aggregate_gradients`` folds
-only those words, and the gradient scaling covers only the batch's rows.
-The reference below takes its gradients from ``model.batch_gradients``
+``model.train_step`` pays for the embedding rows a batch touches: it
+rebuilds only the batch's tied rows, its embedding gradients hold only
+the batch's rows, ``aggregate_gradients`` folds only those words onto
+the groups they route to, and Adadelta runs its formulas on those rows
+alone. The reference below takes its gradients from
+``model.batch_gradients``, scatters them into vocabulary-sized matrices
 and does the dense work on every row; both must agree to the last bit.
 The forward and backward pass behind the gradients is held to the
 per-document reference in ``test_batched_reference.py``.
@@ -16,7 +18,7 @@ from groupshare import model
 from groupshare.corpus import random_pretrained
 from groupshare.groups import groups_from_tsv
 from groupshare.seeding import make_rng
-from helpers import random_group_tsv, random_words, vocab_of
+from helpers import dense_gradients, random_group_tsv, random_words, vocab_of
 
 MODES = ("none", "random", "group_init_no_share", "group_init_share")
 
@@ -52,13 +54,11 @@ def dense_train_step(params, opt, docs, labels):
         dense_sync(shared)
     config = params.config
     rng = make_rng(config.seed, "dropout", params.step_count)
-    loss, grads = model.batch_gradients(params, docs, labels, dropout_rng=rng)
-    # batch_gradients scales only the batch's embedding rows by 1/B; a dense
-    # scaling equals it bit for bit when every other row holds +0.0
-    outside = np.setdiff1d(np.arange(params.vocab.num_rows), np.concatenate(docs))
-    for key in ("emb_p", "ch2"):
-        if key in grads:
-            assert not grads[key][outside].view(np.int64).any()
+    loss, grads, words = model.batch_gradients(params, docs, labels, dropout_rng=rng)
+    # the carried rows are the batch's words; every other row's gradient
+    # is +0.0 in the dense matrices
+    np.testing.assert_array_equal(words, np.unique(np.concatenate(docs)))
+    grads = dense_gradients(params, grads, words)
 
     def step(name, param, grad):
         dense_adadelta(param, grad, opt.state(name, param.shape), opt.rho, opt.eps)
