@@ -78,8 +78,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     run = load_config(args.config)
     dataset, vocab, pretrained, group_table = load_run_inputs(run)
     config = model_config(run, dataset.num_classes, pretrained.shape[1])
@@ -132,7 +130,7 @@ def _cmd_inspect_sharing(args) -> int:
     params, _ = load_checkpoint(args.checkpoint)
     if not params.is_shared:
         raise ValueError("checkpoint has no shared second channel")
-    shared = params.channel2
+    shared = params.ch2
     wid = params.vocab.lookup(args.word)
     if wid is None:
         raise ValueError(f"word {args.word!r} is not in the vocabulary")
@@ -182,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="replicated cross-validation")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict", help="classify documents with a checkpoint")

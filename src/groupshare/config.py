@@ -17,12 +17,7 @@ reproduces the original object.
 import configparser
 from dataclasses import dataclass
 
-from .corpus import (
-    OovPolicy,
-    load_dataset,
-    load_pretrained,
-    random_pretrained,
-)
+from .corpus import load_dataset, load_pretrained, random_pretrained
 from .evaluation import METRICS, ExperimentConfig
 from .groups import load_groups
 from .model import CHANNEL2_MODES, ModelConfig
@@ -257,7 +252,7 @@ def load_run_inputs(run: RunConfig):
     if run.pretrained:
         pretrained = load_pretrained(
             run.pretrained, vocab, format=run.pretrained_format,
-            oov_policy=OovPolicy(seed=derive_seed(run.seed, "oov")),
+            oov_seed=derive_seed(run.seed, "oov"),
         )
         if run.embedding_dim and pretrained.shape[1] != run.embedding_dim:
             raise ValueError(

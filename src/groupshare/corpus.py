@@ -74,11 +74,9 @@ class Vocabulary:
         return out
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for w in self.words:
-            h.update(w.encode("utf-8"))
-            h.update(b"\n")
-        return h.hexdigest()
+        """SHA-256 of the words in id order, each followed by a newline."""
+        text = "\n".join(self.words + ("",))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -94,14 +92,9 @@ class Dataset:
         return len(self.documents)
 
 
-def build_vocabulary(docs, order: str = "first") -> Vocabulary:
-    """Collect the distinct tokens of ``docs`` into a Vocabulary.
-
-    order="first" assigns ids by first occurrence; order="sorted" by
-    lexicographic sort. Both are deterministic for a given input.
-    """
-    if order not in ("first", "sorted"):
-        raise ValueError(f"unknown vocabulary order {order!r}")
+def build_vocabulary(docs) -> Vocabulary:
+    """Collect the distinct tokens of ``docs`` into a Vocabulary, with ids
+    in order of first occurrence."""
     if not docs:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     seen = {}
@@ -113,7 +106,7 @@ def build_vocabulary(docs, order: str = "first") -> Vocabulary:
                 seen[tok] = len(seen)
     if not seen:
         raise ValueError("corpus has no tokens")
-    words = tuple(sorted(seen)) if order == "sorted" else tuple(seen)
+    words = tuple(seen)
     return Vocabulary(words=words, index={w: i for i, w in enumerate(words)})
 
 
@@ -181,27 +174,19 @@ def load_dataset(path, name: str = None):
     return ds, vocab
 
 
-@dataclass(frozen=True)
-class OovPolicy:
-    """Distribution for rows of words absent from the embedding file."""
-
-    seed: int = 0
-    low: float = -0.25
-    high: float = 0.25
-
-
-def _draw_oov(rng: np.random.Generator, policy: OovPolicy, dim: int) -> np.ndarray:
-    return rng.uniform(policy.low, policy.high, size=dim)
+# Random rows (out-of-vocabulary words, random embeddings) are drawn
+# uniformly from [-OOV_BOUND, OOV_BOUND].
+OOV_BOUND = 0.25
 
 
 def load_pretrained(path, vocab: Vocabulary, format: str = "text",
-                    oov_policy: OovPolicy = OovPolicy()) -> np.ndarray:
+                    oov_seed: int = 0) -> np.ndarray:
     """Load pretrained vectors into a (num_rows, d) float64 matrix.
 
     File entries not in the vocabulary are ignored. Vocabulary tokens (and
-    the UNK row) missing from the file are drawn from ``oov_policy`` in
-    ascending row order from one seeded generator, so the result is
-    reproducible. The PAD row is zero.
+    the UNK row) missing from the file are drawn uniformly in ascending
+    row order from one generator seeded with ``oov_seed``, so the result
+    is reproducible. The PAD row is zero.
     """
     if format == "text":
         entries, dim = _read_text_embeddings(path)
@@ -219,20 +204,19 @@ def load_pretrained(path, vocab: Vocabulary, format: str = "text",
             continue
         matrix[idx] = vec
         present[idx] = True
-    rng = np.random.default_rng(oov_policy.seed)
+    rng = np.random.default_rng(oov_seed)
     for i in range(vocab.num_rows):
         if not present[i]:
-            matrix[i] = _draw_oov(rng, oov_policy, dim)
+            matrix[i] = rng.uniform(-OOV_BOUND, OOV_BOUND, size=dim)
     return matrix
 
 
-def random_pretrained(vocab: Vocabulary, dim: int, seed: int = 0,
-                      low: float = -0.25, high: float = 0.25) -> np.ndarray:
+def random_pretrained(vocab: Vocabulary, dim: int, seed: int = 0) -> np.ndarray:
     """Fully random embedding matrix using the OOV distribution; PAD zero."""
     if dim <= 0:
         raise ValueError("embedding dimension must be positive")
     rng = np.random.default_rng(seed)
-    matrix = rng.uniform(low, high, size=(vocab.num_rows, dim))
+    matrix = rng.uniform(-OOV_BOUND, OOV_BOUND, size=(vocab.num_rows, dim))
     matrix[vocab.pad_id] = 0.0
     return matrix
 

@@ -10,7 +10,8 @@ G(i):
 
 The same routing maps gradients back: every group coordinate accumulates
 the signed gradients of the word coordinates it feeds. Words in no group
-keep a private row that trains independently.
+keep a private row that trains independently; with no groups at all the
+embedding is an ordinary free matrix.
 
 The mixing function is the 64-bit avalanche finalizer used by murmur-type
 hashes (xor-shift and multiply rounds). It is versioned so stored models
@@ -158,7 +159,9 @@ class SharedEmbedding:
 
     ``values`` is the materialized (vocab_size, d) matrix used by the
     network. Rows of grouped words are rebuilt from ``groups`` by sync();
-    rows of ungrouped words (``private_ids``) are ordinary parameters.
+    rows of ungrouped words (``private_ids``, derived from the routing)
+    are ordinary parameters. Over a table with no groups every row is
+    private, and the embedding trains as a free matrix (see ``unshared``).
     """
 
     values: np.ndarray
@@ -166,15 +169,12 @@ class SharedEmbedding:
     groups: GroupEmbeddings
     spec: HashSpec
     routing: Routing
-    private_ids: np.ndarray = field(default=None)
+    private_ids: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.private_ids is None:
-            grouped = set(int(w) for w in self.routing.grouped_ids)
-            self.private_ids = np.array(
-                [w for w in range(self.table.vocab_size) if w not in grouped],
-                dtype=np.int64,
-            )
+        grouped = np.zeros(self.table.vocab_size, dtype=bool)
+        grouped[self.routing.grouped_ids] = True
+        self.private_ids = np.flatnonzero(~grouped)
 
     @property
     def dim(self) -> int:
@@ -233,6 +233,18 @@ def init_shared(table: GroupTable, group_embeddings: GroupEmbeddings,
     )
     shared.sync()
     return shared
+
+
+def unshared(values: np.ndarray, spec: HashSpec) -> SharedEmbedding:
+    """A shared embedding over no groups, wrapping ``values`` itself:
+    every row is private, so it trains as a free matrix."""
+    vocab_size, dim = values.shape
+    table = GroupTable.from_members(vocab_size, [], [])
+    return SharedEmbedding(
+        values=values, table=table,
+        groups=GroupEmbeddings(vectors=np.zeros((0, dim))), spec=spec,
+        routing=build_routing(table, dim, spec),
+    )
 
 
 def sync_forward(shared: SharedEmbedding, words=None) -> None:

@@ -11,6 +11,9 @@ pretrained vectors. Channel two is configurable:
                            parameters for the whole run (the full
                            weight-sharing scheme).
 
+Every second channel is a SharedEmbedding; a free matrix is one over a
+table with no groups, in which every row is private.
+
 Each channel feeds its own filter bank; pooled features from both
 channels are concatenated, passed through dropout, and classified by a
 softmax layer. Training uses per-parameter Adadelta.
@@ -35,6 +38,7 @@ from .hashing import (
     init_shared,
     locate,
     sync_forward,
+    unshared,
 )
 from .nnet import (
     AdadeltaState,
@@ -94,7 +98,7 @@ class ModelParams:
     config: ModelConfig
     vocab: Vocabulary
     emb_pretrained: np.ndarray
-    channel2: object            # None | np.ndarray | SharedEmbedding
+    ch2: SharedEmbedding        # None when channel2_mode == "none"
     bank_p: FilterBank
     bank_s: FilterBank          # None when channel2_mode == "none"
     softmax_w: np.ndarray       # (num_features, num_classes)
@@ -103,10 +107,17 @@ class ModelParams:
 
     @property
     def is_shared(self) -> bool:
-        return isinstance(self.channel2, SharedEmbedding)
+        """The second channel is tied to group rows (it has groups to sync)."""
+        return self.config.channel2_mode == "group_init_share"
+
+    @property
+    def channel2(self):
+        """Read-only view: the SharedEmbedding when it is tied, the matrix
+        of a free channel, None without a second channel."""
+        return self.ch2 if self.is_shared else self.channel2_values()
 
     def channel2_values(self):
-        return self.channel2.values if self.is_shared else self.channel2
+        return None if self.ch2 is None else self.ch2.values
 
     def num_features(self) -> int:
         n = self.bank_p.num_features()
@@ -128,22 +139,24 @@ def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
     emb_p = pretrained.copy()
 
     mode = config.channel2_mode
+    spec = HashSpec(
+        seed=derive_seed(config.seed, "hash"),
+        signing_enabled=config.signing_enabled,
+    )
     if mode == "none":
-        channel2 = None
+        ch2 = None
     elif mode == "random":
         rng = make_rng(config.seed, "ch2_random")
-        channel2 = rng.uniform(-0.25, 0.25, size=emb_p.shape)
-        channel2[vocab.pad_id] = 0.0
+        matrix = rng.uniform(-0.25, 0.25, size=emb_p.shape)
+        matrix[vocab.pad_id] = 0.0
+        ch2 = unshared(matrix, spec)
     else:
         if group_table is None:
             raise ValueError(f"channel2_mode {mode!r} needs a group table")
-        spec = HashSpec(
-            seed=derive_seed(config.seed, "hash"),
-            signing_enabled=config.signing_enabled,
-        )
         group_emb = init_group_embeddings(group_table, emb_p)
-        shared = init_shared(group_table, group_emb, emb_p, spec)
-        channel2 = shared if mode == "group_init_share" else shared.values.copy()
+        ch2 = init_shared(group_table, group_emb, emb_p, spec)
+        if mode == "group_init_no_share":
+            ch2 = unshared(ch2.values, spec)
 
     def make_bank(label):
         bank = FilterBank()
@@ -164,7 +177,7 @@ def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
         config=config,
         vocab=vocab,
         emb_pretrained=emb_p,
-        channel2=channel2,
+        ch2=ch2,
         bank_p=bank_p,
         bank_s=bank_s,
         softmax_w=np.zeros((num_features, config.num_classes), dtype=np.float64),
@@ -243,8 +256,8 @@ def forward(ids: np.ndarray, params: ModelParams, train: bool = False,
         raise ValueError("document is all padding")
 
     matrices = [("emb_p", "bank_p", params.emb_pretrained, params.bank_p)]
-    if params.channel2 is not None:
-        matrices.append(("ch2", "bank_s", params.channel2_values(), params.bank_s))
+    if params.ch2 is not None:
+        matrices.append(("ch2", "bank_s", params.ch2.values, params.bank_s))
 
     # A document longer than half of CHUNK_POSITIONS always has a chunk to
     # itself, so its products keep one shape whatever documents surround
@@ -273,26 +286,28 @@ def forward(ids: np.ndarray, params: ModelParams, train: bool = False,
     )
 
 
+def dense_tensors(params: ModelParams) -> list:
+    """(name, tensor) of the filter banks and the softmax layer: the
+    parameters that every step updates whole."""
+    out = []
+    for bank_key, bank in (("bank_p", params.bank_p), ("bank_s", params.bank_s)):
+        if bank is not None:
+            for h in params.config.filter_heights:
+                out += [(f"{bank_key}/W/{h}", bank.weights[h]),
+                        (f"{bank_key}/b/{h}", bank.biases[h])]
+    return out + [("softmax/W", params.softmax_w), ("softmax/b", params.softmax_b)]
+
+
 def zero_gradients(params: ModelParams, n_rows: int) -> dict:
     """Gradient accumulators keyed like the parameters they mirror.
 
     The embedding gradients hold ``n_rows`` rows, one for each id that
     ``batch_words`` gives for the batch, in that order.
     """
-    dim = params.config.embedding_dim
-    grads = {
-        "emb_p": np.zeros((n_rows, dim)),
-        "softmax/W": np.zeros_like(params.softmax_w),
-        "softmax/b": np.zeros_like(params.softmax_b),
-    }
-    if params.channel2 is not None:
-        grads["ch2"] = np.zeros((n_rows, dim))
-    for bank_key, bank in (("bank_p", params.bank_p), ("bank_s", params.bank_s)):
-        if bank is None:
-            continue
-        for h in params.config.filter_heights:
-            grads[f"{bank_key}/W/{h}"] = np.zeros_like(bank.weights[h])
-            grads[f"{bank_key}/b/{h}"] = np.zeros_like(bank.biases[h])
+    grads = {name: np.zeros_like(t) for name, t in dense_tensors(params)}
+    keys = ("emb_p",) if params.ch2 is None else ("emb_p", "ch2")
+    for key in keys:
+        grads[key] = np.zeros((n_rows, params.config.embedding_dim))
     return grads
 
 
@@ -366,6 +381,13 @@ class Optimizer:
     eps: float = 1e-6
     states: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # NaN fails both comparisons
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+
     def state(self, name: str, shape) -> AdadeltaState:
         st = self.states.get(name)
         if st is None:
@@ -387,35 +409,23 @@ def apply_gradients(params: ModelParams, opt: Optimizer, grads: dict,
     moves, so a bad gradient raises ValueError and leaves the parameters,
     the accumulators and the step count as they were.
     """
-    config = params.config
     # (state name, state shape, parameter, gradient, rows of the parameter,
     # rows of the state); rows None: the whole tensor
     emb_shape = params.emb_pretrained.shape
     updates = [("emb_p", emb_shape, params.emb_pretrained, grads["emb_p"],
                 words, words)]
-    if params.is_shared:
-        shared = params.channel2
+    shared = params.ch2
+    if shared is not None:
         groups, group_grad = aggregate_gradients(grads["ch2"], words, shared)
         vectors = shared.groups.vectors
         updates.append(("group_emb", vectors.shape, vectors, group_grad,
                         groups, groups))
-        if shared.private_ids.size:
-            # the optimizer state numbers the private rows 0, 1, ...
-            which, at = locate(shared.private_ids, words)
-            updates.append(("ch2_private", (shared.private_ids.size, emb_shape[1]),
-                            shared.values, grads["ch2"][which], words[which], at))
-    elif params.channel2 is not None:
-        updates.append(("ch2", emb_shape, params.channel2, grads["ch2"],
-                        words, words))
-    dense = []
-    for bank_key, bank in (("bank_p", params.bank_p), ("bank_s", params.bank_s)):
-        if bank is not None:
-            for h in config.filter_heights:
-                dense += [(f"{bank_key}/W/{h}", bank.weights[h]),
-                          (f"{bank_key}/b/{h}", bank.biases[h])]
-    dense += [("softmax/W", params.softmax_w), ("softmax/b", params.softmax_b)]
+        # the optimizer state numbers the private rows 0, 1, ...
+        which, at = locate(shared.private_ids, words)
+        updates.append(("ch2_private", (shared.private_ids.size, emb_shape[1]),
+                        shared.values, grads["ch2"][which], words[which], at))
     updates += [(name, param.shape, param, grads[name], None, None)
-                for name, param in dense]
+                for name, param in dense_tensors(params)]
 
     for name, _, param, grad, rows, _ in updates:
         shape = param.shape if rows is None else (len(rows),) + param.shape[1:]
@@ -438,7 +448,7 @@ def train_step(params: ModelParams, opt: Optimizer, docs, labels) -> float:
     from a checkpoint replays the identical sequence of masks.
     """
     if params.is_shared:
-        sync_forward(params.channel2, batch_words(docs))
+        sync_forward(params.ch2, batch_words(docs))
     rng = None
     if params.config.dropout_rate > 0.0:
         rng = make_rng(params.config.seed, "dropout", params.step_count)
@@ -459,7 +469,7 @@ def predict(params: ModelParams, docs):
     ``predict(docs)[a:b]``.
     """
     if params.is_shared:
-        sync_forward(params.channel2)
+        sync_forward(params.ch2)
     probs = np.zeros((len(docs), params.config.num_classes), dtype=np.float64)
     for start, ids in padded_chunks(params, docs):
         logits, _ = forward(ids, params, train=False)
@@ -471,7 +481,7 @@ def predict(params: ModelParams, docs):
 def loss_on(params: ModelParams, docs, labels) -> float:
     """Mean evaluation-mode loss (no dropout, tied rows synced)."""
     if params.is_shared:
-        sync_forward(params.channel2)
+        sync_forward(params.ch2)
     labels = np.asarray(labels, dtype=np.int64)
     total = 0.0
     for start, ids in padded_chunks(params, docs):
@@ -482,7 +492,7 @@ def loss_on(params: ModelParams, docs, labels) -> float:
 
 
 CHECKPOINT_MAGIC = b"GWSCKP01"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -491,30 +501,18 @@ class CheckpointError(ValueError):
 
 def _collect_tensors(params: ModelParams, opt: Optimizer):
     tensors = [("emb_p", params.emb_pretrained)]
-    if params.is_shared:
-        shared = params.channel2
-        table = shared.table
-        flat = np.array(
-            [w for ws in table.members for w in ws], dtype=np.int64
-        )
-        offsets = np.zeros(table.group_count + 1, dtype=np.int64)
-        for gid, ws in enumerate(table.members):
-            offsets[gid + 1] = offsets[gid] + len(ws)
-        tensors.append(("group/members_flat", flat))
-        tensors.append(("group/offsets", offsets))
-        tensors.append(("group/vectors", shared.groups.vectors))
-        tensors.append(("ch2/private_ids", shared.private_ids))
-        tensors.append(("ch2/private_values", shared.values[shared.private_ids]))
-    elif params.channel2 is not None:
-        tensors.append(("ch2/matrix", params.channel2))
-    for bank_key, bank in (("bank_p", params.bank_p), ("bank_s", params.bank_s)):
-        if bank is None:
-            continue
-        for h in params.config.filter_heights:
-            tensors.append((f"{bank_key}/W/{h}", bank.weights[h]))
-            tensors.append((f"{bank_key}/b/{h}", bank.biases[h]))
-    tensors.append(("softmax/W", params.softmax_w))
-    tensors.append(("softmax/b", params.softmax_b))
+    shared = params.ch2
+    if shared is not None:
+        members = shared.table.members
+        tensors += [
+            ("group/members_flat",
+             np.array([w for ws in members for w in ws], dtype=np.int64)),
+            ("group/offsets",
+             np.cumsum([0] + [len(ws) for ws in members], dtype=np.int64)),
+            ("group/vectors", shared.groups.vectors),
+            ("ch2/private_values", shared.values[shared.private_ids]),
+        ]
+    tensors += dense_tensors(params)
     for name in sorted(opt.states):
         st = opt.states[name]
         tensors.append((f"opt/{name}/sq_grad", st.sq_grad))
@@ -541,8 +539,8 @@ def save_checkpoint(path, params: ModelParams, opt: Optimizer) -> None:
             [name, str(arr.dtype), list(arr.shape)] for name, arr in tensors
         ],
     }
-    if params.is_shared:
-        shared = params.channel2
+    shared = params.ch2
+    if shared is not None:
         header["hash_spec"] = asdict(shared.spec)
         header["group_keys"] = list(shared.table.group_keys)
         header["group_stats"] = {
@@ -676,39 +674,33 @@ def _restore(path, header: dict, tensors: dict):
 
     emb_p = tensor("emb_p", (vocab.num_rows, dim))
     mode = config.channel2_mode
-    if mode == "none":
-        channel2 = None
-    elif mode == "group_init_share":
+    ch2 = None
+    if mode != "none":
         group_keys = list(header["group_keys"])
         flat = tensor("group/members_flat", (None,), np.int64)
         offsets = tensor("group/offsets", (len(group_keys) + 1,), np.int64)
-        members = [
-            [int(w) for w in flat[offsets[g] : offsets[g + 1]]]
-            for g in range(len(offsets) - 1)
-        ]
-        stats = header.get("group_stats", {})
+        members = [flat[offsets[g] : offsets[g + 1]].tolist()
+                   for g in range(len(group_keys))]
+        stats = header["group_stats"]
         table = GroupTable.from_members(
             vocab.num_rows, group_keys, members,
-            oov_skipped=int(stats.get("oov_skipped", 0)),
-            multiword_skipped=int(stats.get("multiword_skipped", 0)),
+            oov_skipped=int(stats["oov_skipped"]),
+            multiword_skipped=int(stats["multiword_skipped"]),
         )
+        if table.group_count and mode != "group_init_share":
+            raise CheckpointError(f"{path}: a {mode} channel has groups")
         spec = HashSpec(**header["hash_spec"])
-        group_emb = GroupEmbeddings(vectors=tensor("group/vectors", (len(group_keys), dim)))
-        routing = build_routing(table, config.embedding_dim, spec)
-        values = np.zeros((vocab.num_rows, config.embedding_dim), dtype=np.float64)
-        private_ids = tensor("ch2/private_ids", (None,), np.int64)
-        grouped = np.zeros(vocab.num_rows, dtype=bool)
-        grouped[routing.grouped_ids] = True
-        if not np.array_equal(private_ids, np.flatnonzero(~grouped)):
-            raise CheckpointError(f"{path}: private rows are not the ungrouped words")
-        values[private_ids] = tensor("ch2/private_values", (len(private_ids), dim))
-        channel2 = SharedEmbedding(
-            values=values, table=table, groups=group_emb, spec=spec,
-            routing=routing, private_ids=private_ids,
+        # every row of ``values`` is written below, the private rows from
+        # the file and the grouped rows by sync(), so it need not be zeroed
+        ch2 = SharedEmbedding(
+            values=np.empty((vocab.num_rows, dim)), table=table,
+            groups=GroupEmbeddings(
+                vectors=tensor("group/vectors", (len(group_keys), dim))),
+            spec=spec, routing=build_routing(table, dim, spec),
         )
-        channel2.sync()
-    else:
-        channel2 = tensor("ch2/matrix", (vocab.num_rows, dim))
+        ch2.values[ch2.private_ids] = tensor("ch2/private_values",
+                                             (len(ch2.private_ids), dim))
+        ch2.sync()
 
     banks = 1 if mode == "none" else 2
     features = banks * len(config.filter_heights) * f
@@ -716,7 +708,7 @@ def _restore(path, header: dict, tensors: dict):
         config=config,
         vocab=vocab,
         emb_pretrained=emb_p,
-        channel2=channel2,
+        ch2=ch2,
         bank_p=bank_from("bank_p"),
         bank_s=None if mode == "none" else bank_from("bank_s"),
         softmax_w=tensor("softmax/W", (features, config.num_classes)),
@@ -725,8 +717,7 @@ def _restore(path, header: dict, tensors: dict):
     )
     opt = Optimizer(rho=float(header["opt"]["rho"]), eps=float(header["opt"]["eps"]))
     # optimizer states named apart from the tensor of the parameter they step
-    param_of = {"ch2": "ch2/matrix", "group_emb": "group/vectors",
-                "ch2_private": "ch2/private_values"}
+    param_of = {"group_emb": "group/vectors", "ch2_private": "ch2/private_values"}
     for tname in tensors:
         if tname.startswith("opt/") and tname.endswith("/sq_grad"):
             base = tname[len("opt/") : -len("/sq_grad")]

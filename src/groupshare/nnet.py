@@ -43,9 +43,8 @@ def rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(blocks, b).reshape(rows, b.shape[1])[:n]
 
 
-def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                 activation: str = "relu"):
-    """Full-width 1-D convolution over the token axis.
+def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
+    """Full-width 1-D convolution over the token axis, with a ReLU.
 
     x: (length, dim), or (batch, length, dim) for inputs padded to one
     length; weights: (filters, height, dim); bias: (filters,). Returns
@@ -66,8 +65,6 @@ def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise ValueError(f"filter width {wdim} does not match input width {dim}")
     if length < height:
         raise ValueError(f"input length {length} shorter than filter height {height}")
-    if activation not in ("relu", "linear"):
-        raise ValueError(f"unknown activation {activation!r}")
     n_t = length - height + 1
     w = weights.reshape(f, height * dim).T
     if x.ndim == 2:
@@ -81,8 +78,8 @@ def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         flat = padded[:n]
         flat.reshape(x.shape[0], n_t, height, dim)[...] = np.swapaxes(windows, -1, -2)
         pre = rows_product(padded, w)[:n] + bias
-    out = np.maximum(pre, 0.0) if activation == "relu" else pre
-    cache = (flat, weights, pre, activation, x.shape)
+    out = np.maximum(pre, 0.0)
+    cache = (flat, weights, pre, x.shape)
     return out.reshape(x.shape[:-2] + (n_t, f)), cache
 
 
@@ -93,13 +90,11 @@ def conv_backward(d_out: np.ndarray, cache):
     a max-pool, which passes gradient to one window per filter, the work
     follows the argmax windows rather than the input length.
     """
-    flat, weights, pre, activation, x_shape = cache
+    flat, weights, pre, x_shape = cache
     f, height, dim = weights.shape
     length = x_shape[-2]
     n_t = length - height + 1
-    d_pre = np.asarray(d_out, dtype=np.float64).reshape(-1, f)
-    if activation == "relu":
-        d_pre = d_pre * (pre > 0.0)
+    d_pre = np.asarray(d_out, dtype=np.float64).reshape(-1, f) * (pre > 0.0)
     rows = np.flatnonzero(d_pre.any(axis=1))
     d_pre = d_pre[rows]
     d_w = (d_pre.T @ flat[rows]).reshape(f, height, dim)

@@ -169,12 +169,13 @@ def test_evaluate_writes_stable_report(tmp_path, capsys):
     assert text.count("fold=") == 3
 
 
-def test_evaluate_rejects_bad_jobs(tmp_path, capsys):
+def test_evaluate_has_no_jobs_flag(tmp_path, capsys):
     data, groups = write_dataset(tmp_path)
     cfg = write_config(tmp_path, data, groups)
-    rc = main(["evaluate", "--config", str(cfg), "--out", "", "--jobs", "0"])
-    assert rc == 1
-    assert "--jobs" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", "--config", str(cfg), "--out", "", "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_inspect_sharing(tmp_path, capsys):

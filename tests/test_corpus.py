@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from groupshare.corpus import (
-    OovPolicy,
     PAD_TOKEN,
     UNK_TOKEN,
     build_vocabulary,
@@ -26,13 +25,6 @@ def test_vocabulary_ids_follow_first_occurrence():
     assert vocab.unk_id == 3
     assert vocab.pad_id == 4
     assert vocab.num_rows == 5
-
-
-def test_vocabulary_sorted_order():
-    vocab = build_vocabulary([["zebra", "ant", "mole"]], order="sorted")
-    assert vocab.words == ("ant", "mole", "zebra")
-    with pytest.raises(ValueError):
-        build_vocabulary([["a"]], order="alphabetical")
 
 
 def test_vocabulary_rejects_reserved_and_empty():
@@ -182,9 +174,9 @@ def test_pretrained_oov_rows_are_seeded(tmp_path):
     vocab = vocab_of(["known", "novel", "fresh"])
     path = tmp_path / "emb.txt"
     write_pretrained(np.array([[1.0, 2.0]]), vocab_of(["known"]), path)
-    a = load_pretrained(path, vocab, oov_policy=OovPolicy(seed=5))
-    b = load_pretrained(path, vocab, oov_policy=OovPolicy(seed=5))
-    c = load_pretrained(path, vocab, oov_policy=OovPolicy(seed=6))
+    a = load_pretrained(path, vocab, oov_seed=5)
+    b = load_pretrained(path, vocab, oov_seed=5)
+    c = load_pretrained(path, vocab, oov_seed=6)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     np.testing.assert_array_equal(a[0], [1.0, 2.0])

@@ -358,10 +358,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
     cut.write_bytes(blob[:20])
     with pytest.raises(CheckpointError, match="truncated header"):
         load_checkpoint(cut)
-    future = tmp_path / "future.ckpt"
-    future.write_bytes(blob.replace(b'"format_version": 1', b'"format_version": 9'))
-    with pytest.raises(CheckpointError, match="version 9"):
-        load_checkpoint(future)
+    for version in (9, 1):      # a later format, and the retired first one
+        other = tmp_path / f"v{version}.ckpt"
+        other.write_bytes(blob.replace(b'"format_version": 2',
+                                       b'"format_version": %d' % version))
+        with pytest.raises(CheckpointError, match=f"version {version}"):
+            load_checkpoint(other)
 
 
 def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
@@ -575,9 +577,9 @@ def test_optimizer_state_of_the_wrong_shape_is_rejected_at_load(tmp_path):
 
 @pytest.mark.parametrize("header, message", [
     ([1, 2], "not a JSON object"),
-    ({"format_version": 1}, "no tensor list"),
-    ({"format_version": 1, "tensors": [["emb_p", "O", [2]]]}, "malformed"),
-    ({"format_version": 1, "tensors": [["emb_p", "float64", [-1]]]}, "malformed"),
+    ({"format_version": 2}, "no tensor list"),
+    ({"format_version": 2, "tensors": [["emb_p", "O", [2]]]}, "malformed"),
+    ({"format_version": 2, "tensors": [["emb_p", "float64", [-1]]]}, "malformed"),
 ])
 def test_malformed_headers_raise_checkpoint_error(tmp_path, header, message):
     path = tmp_path / "bad.ckpt"
@@ -586,4 +588,57 @@ def test_malformed_headers_raise_checkpoint_error(tmp_path, header, message):
         load_checkpoint(path)
     path.write_bytes(_join(b"\xff\xfe{}", b""))
     with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def test_every_second_channel_mode_stores_one_layout():
+    names = {mode: [entry[0] for entry in _split(_checkpoint_bytes(mode))[0]["tensors"]]
+             for mode in ("random", "group_init_no_share", "group_init_share")}
+    assert names["random"] == names["group_init_no_share"] == names["group_init_share"]
+    assert {"group/members_flat", "group/offsets", "group/vectors",
+            "ch2/private_values"} <= set(names["random"])
+    assert not {"ch2/matrix", "ch2/private_ids"} & set(names["random"])
+
+
+@pytest.mark.parametrize("mode", ["random", "group_init_no_share",
+                                  "group_init_share"])
+def test_private_rows_are_the_ungrouped_words(mode, tmp_path):
+    params, _, _, vocab, _, table = tiny_setup(seed=4, mode=mode)
+    grouped = set(table.grouped_word_ids()) if mode == "group_init_share" else set()
+    expected = [w for w in range(vocab.num_rows) if w not in grouped]
+    assert {vocab.unk_id, vocab.pad_id} <= set(expected)
+    np.testing.assert_array_equal(params.ch2.private_ids, expected)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, Optimizer())
+    np.testing.assert_array_equal(load_checkpoint(path)[0].ch2.private_ids, expected)
+
+
+def test_free_channel_checkpoint_with_groups_is_rejected(tmp_path):
+    blob = _checkpoint_bytes("group_init_share")
+    header, payload = _split(blob)
+    header["config"]["channel2_mode"] = "group_init_no_share"
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_join(json.dumps(header).encode("utf-8"), payload))
+    with pytest.raises(CheckpointError, match="has groups"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("rho, eps", [(1.0, 1e-6), (0.0, 1e-6), (5.0, -1.0),
+                                      (0.95, 0.0), (float("nan"), 1e-6),
+                                      (0.95, float("nan")), (0.95, float("inf"))])
+def test_optimizer_rejects_bad_settings(rho, eps):
+    with pytest.raises(ValueError):
+        Optimizer(rho=rho, eps=eps)
+
+
+@pytest.mark.parametrize("settings", [{"rho": 5.0, "eps": -1.0},
+                                      {"rho": float("nan"), "eps": 1e-6},
+                                      {"rho": 0.95, "eps": float("nan")}])
+def test_checkpoint_with_bad_optimizer_settings_is_rejected(settings, tmp_path):
+    header, payload = _split(_checkpoint_bytes("none"))
+    header["opt"] = settings
+    path = tmp_path / "m.ckpt"
+    # json.dumps writes NaN, which json.loads reads back
+    path.write_bytes(_join(json.dumps(header).encode("utf-8"), payload))
+    with pytest.raises(CheckpointError, match="rho|eps"):
         load_checkpoint(path)

@@ -17,8 +17,8 @@ from groupshare.nnet import (
 )
 
 
-def conv_loops(x, weights, bias, activation="relu"):
-    """Triple-loop convolution used as the oracle."""
+def conv_loops(x, weights, bias):
+    """Triple-loop convolution with a ReLU, used as the oracle."""
     length, dim = x.shape
     f, height, _ = weights.shape
     out = np.zeros((length - height + 1, f))
@@ -29,14 +29,12 @@ def conv_loops(x, weights, bias, activation="relu"):
                 for j in range(dim):
                     acc += x[t + o, j] * weights[k, o, j]
             out[t, k] = acc + bias[k]
-    if activation == "relu":
-        out = np.maximum(out, 0.0)
-    return out
+    return np.maximum(out, 0.0)
 
 
 def test_conv_forward_matches_loop_oracle():
     rng = np.random.default_rng(12)
-    for trial in range(20):
+    for _ in range(20):
         length = int(rng.integers(2, 12))
         height = int(rng.integers(1, length + 1))
         dim = int(rng.integers(1, 7))
@@ -44,22 +42,17 @@ def test_conv_forward_matches_loop_oracle():
         x = rng.normal(0, 1, size=(length, dim))
         w = rng.normal(0, 1, size=(f, height, dim))
         b = rng.normal(0, 1, size=f)
-        act = "relu" if trial % 2 else "linear"
-        out, _ = conv_forward(x, w, b, activation=act)
-        expected = conv_loops(x, w, b, activation=act)
-        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        out, _ = conv_forward(x, w, b)
+        np.testing.assert_allclose(out, conv_loops(x, w, b), rtol=1e-12, atol=1e-12)
 
 
 def test_conv_forward_input_validation():
-    x = np.zeros((3, 4))
     w = np.zeros((2, 2, 4))
     b = np.zeros(2)
     with pytest.raises(ValueError, match="shorter"):
         conv_forward(np.zeros((1, 4)), w, b)
     with pytest.raises(ValueError, match="width"):
         conv_forward(np.zeros((3, 5)), w, b)
-    with pytest.raises(ValueError, match="activation"):
-        conv_forward(x, w, b, activation="tanh")
 
 
 def test_conv_backward_finite_differences():

@@ -49,7 +49,7 @@ def dense_aggregate(grad, shared):
 
 
 def dense_train_step(params, opt, docs, labels):
-    shared = params.channel2 if params.is_shared else None
+    shared = params.ch2
     if shared is not None:
         dense_sync(shared)
     config = params.config
@@ -69,8 +69,6 @@ def dense_train_step(params, opt, docs, labels):
         private = shared.values[shared.private_ids]
         step("ch2_private", private, grads["ch2"][shared.private_ids])
         shared.values[shared.private_ids] = private
-    elif params.channel2 is not None:
-        step("ch2", params.channel2, grads["ch2"])
     for bank_key, bank in (("bank_p", params.bank_p), ("bank_s", params.bank_s)):
         if bank is not None:
             for h in config.filter_heights:
@@ -106,11 +104,11 @@ def setup(mode):
 
 
 def state_bytes(params, opt):
-    if params.is_shared:
-        dense_sync(params.channel2)
+    if params.ch2 is not None:
+        dense_sync(params.ch2)
     out = {name: arr.tobytes() for name, arr in model._collect_tensors(params, opt)}
-    if params.is_shared:
-        out["ch2/values"] = params.channel2.values.tobytes()
+    if params.ch2 is not None:
+        out["ch2/values"] = params.ch2.values.tobytes()
     out["step_count"] = params.step_count
     return out
 
