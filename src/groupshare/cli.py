@@ -24,7 +24,7 @@ from .config import (
 )
 from .corpus import load_dataset, load_vocabulary, save_vocabulary
 from .evaluation import run_experiment, train_model
-from .groups import load_groups, write_groups_tsv
+from .groups import GROUP_KINDS, load_groups, write_groups_tsv
 from .model import load_checkpoint, predict, save_checkpoint
 
 
@@ -145,7 +145,7 @@ def _cmd_inspect_sharing(args) -> int:
     row = int(rows[0])
     print("dim\tgroup_key\tsign")
     for j in range(shared.dim):
-        gid = int(shared.routing.group_rows[row, j])
+        gid = int(shared.routing.flat[row, j]) // shared.dim
         sgn = int(shared.routing.signs[row, j])
         print(f"{j}\t{shared.table.group_keys[gid]}\t{'+1' if sgn > 0 else '-1'}")
     return 0
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-groups", help="compile a group resource to TSV")
     p.add_argument("--kind", required=True,
-                   choices=["tsv", "brown", "mesh", "sentilex"])
+                   choices=GROUP_KINDS)
     p.add_argument("--input", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)

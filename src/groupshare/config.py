@@ -18,9 +18,9 @@ import configparser
 from dataclasses import dataclass
 
 from .corpus import load_dataset, load_pretrained, random_pretrained
-from .evaluation import METRICS, ExperimentConfig
-from .groups import load_groups
-from .model import CHANNEL2_MODES, ModelConfig
+from .evaluation import ExperimentConfig
+from .groups import GROUP_KINDS, load_groups
+from .model import ModelConfig, Optimizer
 from .seeding import derive_seed
 
 
@@ -86,7 +86,6 @@ _SCHEMA = {
     },
 }
 
-_GROUP_KINDS = ("tsv", "brown", "mesh", "sentilex")
 _EMB_FORMATS = ("text", "binary")
 
 
@@ -132,40 +131,27 @@ def _render(kind: str, value) -> str:
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    """Check every setting before any input file is read.
+
+    The settings of the model, the experiment and the optimizer are
+    checked by building those objects; the class count and the width,
+    which only the data decides, get the stand-ins 2 and 1.
+    """
     if cfg.pretrained_format not in _EMB_FORMATS:
         raise ValueError(
             f"pretrained_format must be one of {_EMB_FORMATS}, "
             f"got {cfg.pretrained_format!r}"
         )
-    if cfg.groups_kind not in _GROUP_KINDS:
+    if cfg.groups_kind not in GROUP_KINDS:
         raise ValueError(
-            f"groups_kind must be one of {_GROUP_KINDS}, got {cfg.groups_kind!r}"
+            f"groups_kind must be one of {GROUP_KINDS}, got {cfg.groups_kind!r}"
         )
-    if cfg.channel2_mode not in CHANNEL2_MODES:
-        raise ValueError(
-            f"channel2_mode must be one of {CHANNEL2_MODES}, "
-            f"got {cfg.channel2_mode!r}"
-        )
-    if cfg.metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {cfg.metric!r}")
     if cfg.embedding_dim < 0:
         raise ValueError("embedding_dim cannot be negative")
     if cfg.mesh_prefix_depth < 1:
         raise ValueError("mesh_prefix_depth must be at least 1")
-    if not (0.0 <= cfg.dropout < 1.0):
-        raise ValueError("dropout must lie in [0, 1)")
-    if any(h < 1 for h in cfg.filter_heights):
-        raise ValueError("filter heights must be positive")
-    if cfg.filters_per_height < 1:
-        raise ValueError("filters_per_height must be positive")
-    if cfg.epochs < 1 or cfg.batch_size < 1:
-        raise ValueError("epochs and batch_size must be positive")
-    if not (0.0 < cfg.rho < 1.0):
-        raise ValueError("rho must lie in (0, 1)")
-    if cfg.eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if cfg.folds < 2 or cfg.replications < 1:
-        raise ValueError("need folds >= 2 and replications >= 1")
+    experiment_config(cfg, model_config(cfg, num_classes=2, embedding_dim=1))
+    Optimizer(rho=cfg.rho, eps=cfg.eps)
     return cfg
 
 

@@ -26,29 +26,38 @@ from .corpus import Vocabulary
 
 @dataclass
 class GroupTable:
-    """Membership structure between word ids and group ids."""
+    """Membership structure between word ids and group ids.
+
+    ``members`` lists each group's word ids in strictly ascending order;
+    no group is empty and every id lies in [0, vocab_size). Construction
+    checks this and derives ``membership`` (word id -> ascending group
+    ids) in the same pass over the members, so a table that exists is
+    valid and its two views agree.
+    """
 
     vocab_size: int
     group_keys: list
     members: list            # group id -> ascending list of word ids
-    membership: dict = field(repr=False)  # word id -> ascending list of group ids
     oov_skipped: int = 0
     multiword_skipped: int = 0
+    membership: dict = field(init=False, repr=False)
 
-    @classmethod
-    def from_members(cls, vocab_size: int, group_keys, members,
-                     oov_skipped: int = 0, multiword_skipped: int = 0):
-        """A validated table whose membership map is derived from the
-        member lists (group id -> ascending word ids)."""
+    def __post_init__(self):
+        if len(self.group_keys) != len(self.members):
+            raise ValueError("group_keys and members disagree on group count")
         membership = {}
-        for gid, ws in enumerate(members):
+        for gid, ws in enumerate(self.members):
+            if not ws:
+                raise ValueError(f"group {gid} is empty")
+            prev = -1
             for w in ws:
+                if not 0 <= w < self.vocab_size:
+                    raise ValueError(f"group {gid} member {w} outside vocabulary")
+                if w <= prev:
+                    raise ValueError(f"group {gid} members not strictly ascending")
+                prev = w
                 membership.setdefault(w, []).append(gid)
-        table = cls(vocab_size=vocab_size, group_keys=list(group_keys),
-                    members=members, membership=membership,
-                    oov_skipped=oov_skipped, multiword_skipped=multiword_skipped)
-        table.validate()
-        return table
+        self.membership = membership
 
     @property
     def group_count(self) -> int:
@@ -59,22 +68,6 @@ class GroupTable:
 
     def grouped_word_ids(self) -> list:
         return sorted(self.membership)
-
-    def validate(self) -> None:
-        if len(self.group_keys) != len(self.members):
-            raise ValueError("group_keys and members disagree on group count")
-        seen = {}
-        for gid, ws in enumerate(self.members):
-            if not ws:
-                raise ValueError(f"group {gid} is empty")
-            if list(ws) != sorted(set(ws)):
-                raise ValueError(f"group {gid} members not strictly ascending")
-            for w in ws:
-                if not (0 <= w < self.vocab_size):
-                    raise ValueError(f"group {gid} member {w} outside vocabulary")
-                seen.setdefault(w, []).append(gid)
-        if seen != {w: gs for w, gs in self.membership.items()}:
-            raise ValueError("membership map disagrees with member lists")
 
 
 class _TableBuilder:
@@ -107,7 +100,7 @@ class _TableBuilder:
         keep = [g for g in range(len(self.members)) if self.members[g]]
         keys = [self.group_keys[g] for g in keep]
         members = [sorted(self.members[g]) for g in keep]
-        return GroupTable.from_members(
+        return GroupTable(
             self.vocab.num_rows, keys, members,
             oov_skipped=len(self.oov_skipped_words),
             multiword_skipped=self.multiword_skipped,
@@ -230,6 +223,7 @@ _LOADERS = {
     "mesh": groups_from_mesh,
     "sentilex": groups_from_sentiment_lexicon,
 }
+GROUP_KINDS = tuple(_LOADERS)
 
 
 def load_groups(path, kind: str, vocab: Vocabulary, **kwargs) -> GroupTable:

@@ -108,14 +108,13 @@ class Routing:
     """Precomputed coordinate routing for all grouped words.
 
     grouped_ids: (G,) ascending word ids that belong to at least one group;
-    group_rows:  (G, d) int32 group id feeding each coordinate;
-    signs:       (G, d) int8 matching sign factors;
-    flat:        (G, d) position of each feeding coordinate in the
-                 flattened group matrix, group_rows * d + column.
+    signs:       (G, d) int8 sign factor of each coordinate;
+    flat:        (G, d) int64 position, in the flattened (groups, d) group
+                 matrix, of the coordinate feeding each word coordinate:
+                 group id * d + column, so the group id is flat // d.
     """
 
     grouped_ids: np.ndarray
-    group_rows: np.ndarray
     signs: np.ndarray
     flat: np.ndarray
 
@@ -126,7 +125,6 @@ def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
     if grouped.size == 0:
         return Routing(
             grouped_ids=grouped,
-            group_rows=np.zeros((0, dim), dtype=np.int32),
             signs=np.ones((0, dim), dtype=np.int8),
             flat=np.zeros((0, dim), dtype=np.int64),
         )
@@ -136,21 +134,19 @@ def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
     for row, w in enumerate(grouped):
         gids = table.membership[w]
         padded[row, : len(gids)] = gids
+    padded *= dim           # group id -> start of its row in the flat matrix
 
     dims = np.arange(dim, dtype=np.int64)
     # a word in one group routes every coordinate to it (hash_dim is 0);
     # the hash picks among the groups of the other words only
-    group_rows = np.repeat(padded[:, :1].astype(np.int32), dim, axis=1)
+    flat = np.repeat(padded[:, :1], dim, axis=1)
     multi = np.flatnonzero(counts > 1)
     h = _mix(np.uint64(spec.seed), grouped[multi, None], dims[None, :])
     bucket = (h % counts[multi].astype(np.uint64)[:, None]).astype(np.int64)
-    group_rows[multi] = np.take_along_axis(padded[multi], bucket, axis=1)
-    flat = group_rows.astype(np.int64)
-    flat *= dim
+    flat[multi] = np.take_along_axis(padded[multi], bucket, axis=1)
     flat += dims
     signs = _signs(grouped[:, None], dims[None, :], spec)
-    return Routing(grouped_ids=grouped, group_rows=group_rows, signs=signs,
-                   flat=flat)
+    return Routing(grouped_ids=grouped, signs=signs, flat=flat)
 
 
 @dataclass
@@ -239,7 +235,7 @@ def unshared(values: np.ndarray, spec: HashSpec) -> SharedEmbedding:
     """A shared embedding over no groups, wrapping ``values`` itself:
     every row is private, so it trains as a free matrix."""
     vocab_size, dim = values.shape
-    table = GroupTable.from_members(vocab_size, [], [])
+    table = GroupTable(vocab_size, [], [])
     return SharedEmbedding(
         values=values, table=table,
         groups=GroupEmbeddings(vectors=np.zeros((0, dim))), spec=spec,
@@ -273,7 +269,8 @@ def aggregate_gradients(grad_rows: np.ndarray, words,
                          "embedding width")
     r = shared.routing
     which, at = locate(r.grouped_ids, words)
-    feeding = r.group_rows[at]
+    feeding = r.flat[at]
+    feeding //= dim
     touched = np.zeros(n, dtype=bool)
     touched[feeding] = True
     groups = np.flatnonzero(touched)

@@ -77,6 +77,9 @@ class ModelConfig:
             raise ValueError("embedding dimension must be positive")
         if not self.filter_heights or any(h < 1 for h in self.filter_heights):
             raise ValueError("filter heights must be positive")
+        if len(set(self.filter_heights)) != len(self.filter_heights):
+            # each height names one filter bank and one checkpoint tensor
+            raise ValueError("filter heights must be distinct")
         if self.filters_per_height < 1:
             raise ValueError("filters_per_height must be positive")
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -91,6 +94,12 @@ class ModelConfig:
     @property
     def max_height(self) -> int:
         return max(self.filter_heights)
+
+    @property
+    def num_features(self) -> int:
+        """Width of the pooled features: one per filter of each channel."""
+        channels = 1 if self.channel2_mode == "none" else 2
+        return channels * len(self.filter_heights) * self.filters_per_height
 
 
 @dataclass
@@ -118,12 +127,6 @@ class ModelParams:
 
     def channel2_values(self):
         return None if self.ch2 is None else self.ch2.values
-
-    def num_features(self) -> int:
-        n = self.bank_p.num_features()
-        if self.bank_s is not None:
-            n += self.bank_s.num_features()
-        return n
 
 
 def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
@@ -172,18 +175,17 @@ def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
     bank_p = make_bank("bank_p")
     bank_s = None if mode == "none" else make_bank("bank_s")
 
-    num_features = bank_p.num_features() + (bank_s.num_features() if bank_s else 0)
-    params = ModelParams(
+    return ModelParams(
         config=config,
         vocab=vocab,
         emb_pretrained=emb_p,
         ch2=ch2,
         bank_p=bank_p,
         bank_s=bank_s,
-        softmax_w=np.zeros((num_features, config.num_classes), dtype=np.float64),
+        softmax_w=np.zeros((config.num_features, config.num_classes),
+                           dtype=np.float64),
         softmax_b=np.zeros(config.num_classes, dtype=np.float64),
     )
-    return params
 
 
 # Token positions a padded chunk may span (documents times padded
@@ -461,6 +463,16 @@ def train_step(params: ModelParams, opt: Optimizer, docs, labels) -> float:
     return float(loss)
 
 
+def _eval_logits(params: ModelParams, docs):
+    """Yield (start, logits) over the padded chunks of ``docs``, in
+    evaluation mode (no dropout) after a sync of every tied row."""
+    if params.is_shared:
+        sync_forward(params.ch2)
+    for start, ids in padded_chunks(params, docs):
+        logits, _ = forward(ids, params, train=False)
+        yield start, logits
+
+
 def predict(params: ModelParams, docs):
     """Labels and class probabilities for a document list.
 
@@ -468,25 +480,19 @@ def predict(params: ModelParams, docs):
     the list: ``predict(docs[a:b])`` gives the bytes of
     ``predict(docs)[a:b]``.
     """
-    if params.is_shared:
-        sync_forward(params.ch2)
     probs = np.zeros((len(docs), params.config.num_classes), dtype=np.float64)
-    for start, ids in padded_chunks(params, docs):
-        logits, _ = forward(ids, params, train=False)
+    for start, logits in _eval_logits(params, docs):
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs[start : start + len(ids)] = shifted / shifted.sum(axis=1, keepdims=True)
+        probs[start : start + len(logits)] = shifted / shifted.sum(axis=1, keepdims=True)
     return probs.argmax(axis=1), probs
 
 
 def loss_on(params: ModelParams, docs, labels) -> float:
     """Mean evaluation-mode loss (no dropout, tied rows synced)."""
-    if params.is_shared:
-        sync_forward(params.ch2)
     labels = np.asarray(labels, dtype=np.int64)
     total = 0.0
-    for start, ids in padded_chunks(params, docs):
-        logits, _ = forward(ids, params, train=False)
-        loss, _ = softmax_xent(logits, labels[start : start + len(ids)])
+    for start, logits in _eval_logits(params, docs):
+        loss, _ = softmax_xent(logits, labels[start : start + len(logits)])
         total += loss.sum()
     return float(total / len(docs))
 
@@ -682,7 +688,7 @@ def _restore(path, header: dict, tensors: dict):
         members = [flat[offsets[g] : offsets[g + 1]].tolist()
                    for g in range(len(group_keys))]
         stats = header["group_stats"]
-        table = GroupTable.from_members(
+        table = GroupTable(
             vocab.num_rows, group_keys, members,
             oov_skipped=int(stats["oov_skipped"]),
             multiword_skipped=int(stats["multiword_skipped"]),
@@ -702,8 +708,6 @@ def _restore(path, header: dict, tensors: dict):
                                              (len(ch2.private_ids), dim))
         ch2.sync()
 
-    banks = 1 if mode == "none" else 2
-    features = banks * len(config.filter_heights) * f
     params = ModelParams(
         config=config,
         vocab=vocab,
@@ -711,7 +715,7 @@ def _restore(path, header: dict, tensors: dict):
         ch2=ch2,
         bank_p=bank_from("bank_p"),
         bank_s=None if mode == "none" else bank_from("bank_s"),
-        softmax_w=tensor("softmax/W", (features, config.num_classes)),
+        softmax_w=tensor("softmax/W", (config.num_features, config.num_classes)),
         softmax_b=tensor("softmax/b", (config.num_classes,)),
         step_count=step_count,
     )

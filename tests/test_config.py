@@ -68,8 +68,14 @@ def test_semantic_validation():
         parse_config("[data]\ngroups_kind = wordnet\n")
     with pytest.raises(ValueError, match="dropout"):
         parse_config("[model]\ndropout = 1.5\n")
+    with pytest.raises(ValueError, match="filter heights must be distinct"):
+        parse_config("[model]\nfilter_heights = 3,4,3\n")
     with pytest.raises(ValueError, match="rho"):
         parse_config("[train]\nrho = 1.0\n")
+    with pytest.raises(ValueError, match="eps"):
+        parse_config("[train]\neps = inf\n")
+    with pytest.raises(ValueError, match="eps"):
+        parse_config("[train]\neps = nan\n")
     with pytest.raises(ValueError, match="folds"):
         parse_config("[eval]\nfolds = 1\n")
 

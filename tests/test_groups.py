@@ -148,38 +148,28 @@ def test_empty_groups_never_materialize():
     assert table.group_count == 1
 
 
-def test_validate_catches_corruption():
-    vocab = vocab_of(["a", "b"])
-    table = groups_from_tsv(["g\ta", "g\tb"], vocab)
-    table.validate()
-    broken = GroupTable(
-        vocab_size=table.vocab_size,
-        group_keys=["g"],
-        members=[[]],
-        membership={},
-    )
-    with pytest.raises(ValueError, match="empty"):
-        broken.validate()
-    wrong = GroupTable(
-        vocab_size=table.vocab_size,
-        group_keys=["g"],
-        members=[[1, 0]],
-        membership={0: [0], 1: [0]},
-    )
-    with pytest.raises(ValueError, match="ascending"):
-        wrong.validate()
+def test_constructor_rejects_bad_members():
+    size = vocab_of(["a", "b", "c"]).num_rows
+    for keys, members, message in [
+        (["g"], [[]], "group 0 is empty"),
+        (["g", "h"], [[0], [2, 1]], "group 1 members not strictly ascending"),
+        (["g"], [[1, 1]], "not strictly ascending"),
+        (["g"], [[0, size]], f"member {size} outside vocabulary"),
+        (["g"], [[-1]], "member -1 outside vocabulary"),
+        (["g", "h"], [[0]], "disagree on group count"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GroupTable(size, keys, members)
 
 
-def test_from_members_derives_membership_and_validates():
+def test_constructor_derives_membership():
     vocab = vocab_of(["a", "b", "c"])
     built = groups_from_tsv(["g\ta", "g\tc", "h\tc"], vocab)
-    table = GroupTable.from_members(vocab.num_rows, ["g", "h"], [[0, 2], [2]])
+    table = GroupTable(vocab.num_rows, ["g", "h"], [[0, 2], [2]])
     assert table.membership == built.membership == {0: [0], 2: [0, 1]}
     assert table.members == built.members
-    with pytest.raises(ValueError, match="ascending"):
-        GroupTable.from_members(vocab.num_rows, ["g"], [[2, 0]])
-    with pytest.raises(ValueError, match="outside"):
-        GroupTable.from_members(vocab.num_rows, ["g"], [[vocab.num_rows]])
+    assert table.grouped_word_ids() == [0, 2]
+    assert GroupTable(vocab.num_rows, [], []).membership == {}
 
 
 def test_group_tsv_dump_round_trips(tmp_path):

@@ -134,7 +134,7 @@ def test_routing_matches_scalar_hashes():
             gids = table.groups_of(int(w))
             for j in range(dim):
                 pick = hash_dim(int(w), j, len(gids), spec)
-                assert routing.group_rows[row, j] == gids[pick]
+                assert routing.flat[row, j] == gids[pick] * dim + j
                 assert routing.signs[row, j] == sign(int(w), j, spec)
 
 
@@ -173,7 +173,7 @@ def test_sync_refreshes_grouped_rows_only():
     grouped = shared.routing.grouped_ids
     for row, w in enumerate(grouped):
         for j in range(dim):
-            g = shared.routing.group_rows[row, j]
+            g = shared.routing.flat[row, j] // dim
             s = shared.routing.signs[row, j]
             assert shared.values[w, j] == shared.groups.vectors[g, j] * s
 
@@ -231,9 +231,7 @@ def _dense_aggregate(grad, shared):
     r = shared.routing
     n, dim = shared.groups.vectors.shape
     signed = grad[r.grouped_ids] * r.signs
-    cols = np.broadcast_to(np.arange(dim, dtype=np.int64), r.group_rows.shape)
-    flat = (r.group_rows.astype(np.int64) * dim + cols).ravel()
-    out = np.bincount(flat, weights=signed.ravel(), minlength=n * dim)
+    out = np.bincount(r.flat.ravel(), weights=signed.ravel(), minlength=n * dim)
     return out.reshape(n, dim)
 
 
@@ -266,7 +264,7 @@ def test_aggregate_skipping_zero_rows_matches_dense_bytes(seed, dim, word_share,
     grad[words] = rows
     groups, got_rows = aggregate_gradients(rows, words, shared)
     r = shared.routing
-    fed = r.group_rows[np.isin(r.grouped_ids, words)]
+    fed = r.flat[np.isin(r.grouped_ids, words)] // dim
     np.testing.assert_array_equal(groups, np.unique(fed))
     got = np.zeros_like(shared.groups.vectors)
     got[groups] = got_rows

@@ -35,16 +35,15 @@ def dense_adadelta(param, grad, state, rho, eps):
 def dense_sync(shared):
     r = shared.routing
     dims = np.arange(shared.dim)[None, :]
-    shared.values[r.grouped_ids] = shared.groups.vectors[r.group_rows, dims] * r.signs
+    group_rows = r.flat // shared.dim
+    shared.values[r.grouped_ids] = shared.groups.vectors[group_rows, dims] * r.signs
 
 
 def dense_aggregate(grad, shared):
     r = shared.routing
     n, dim = shared.groups.vectors.shape
     signed = grad[r.grouped_ids] * r.signs
-    cols = np.broadcast_to(np.arange(dim, dtype=np.int64), r.group_rows.shape)
-    flat = (r.group_rows.astype(np.int64) * dim + cols).ravel()
-    out = np.bincount(flat, weights=signed.ravel(), minlength=n * dim)
+    out = np.bincount(r.flat.ravel(), weights=signed.ravel(), minlength=n * dim)
     return out.reshape(n, dim)
 
 
