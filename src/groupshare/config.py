@@ -1,26 +1,19 @@
 """Run configuration files.
 
-INI syntax with five sections. Every key has a default; unknown sections
-or keys are rejected outright so typos cannot silently fall back to
-defaults. dump_config writes every key back out, and parsing a dump
-reproduces the original object.
-
-    [data]   dataset, pretrained, pretrained_format, embedding_dim,
-             groups, groups_kind, mesh_prefix_depth
-    [model]  filter_heights, filters_per_height, dropout, channel2_mode,
-             signing
-    [train]  epochs, batch_size, rho, eps, downsampling
-    [eval]   folds, replications, metric, stratified
-    [run]    seed
+INI syntax with five sections, [data], [model], [train], [eval] and
+[run], whose keys _SECTIONS lists. Every key is a RunConfig field and
+has its default; unknown sections or keys are rejected outright so typos
+cannot silently fall back to defaults. dump_config writes every key back
+out, and parsing a dump reproduces the original object.
 """
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .corpus import load_dataset, load_pretrained, random_pretrained
 from .evaluation import ExperimentConfig
 from .groups import GROUP_KINDS, load_groups
-from .model import ModelConfig, Optimizer
+from .model import GROUPED_MODES, ModelConfig, Optimizer
 from .seeding import derive_seed
 
 
@@ -50,82 +43,57 @@ class RunConfig:
     seed: int = 1
 
 
-# section -> key -> (value kind, RunConfig field)
-_SCHEMA = {
-    "data": {
-        "dataset": "str",
-        "pretrained": "str",
-        "pretrained_format": "str",
-        "embedding_dim": "int",
-        "groups": "str",
-        "groups_kind": "str",
-        "mesh_prefix_depth": "int",
-    },
-    "model": {
-        "filter_heights": "heights",
-        "filters_per_height": "int",
-        "dropout": "float",
-        "channel2_mode": "str",
-        "signing": "bool",
-    },
-    "train": {
-        "epochs": "int",
-        "batch_size": "int",
-        "rho": "float",
-        "eps": "float",
-        "downsampling": "bool",
-    },
-    "eval": {
-        "folds": "int",
-        "replications": "int",
-        "metric": "str",
-        "stratified": "bool",
-    },
-    "run": {
-        "seed": "int",
-    },
+# section -> its keys, each a RunConfig field whose type is the key's kind
+_SECTIONS = {
+    "data": ("dataset", "pretrained", "pretrained_format", "embedding_dim",
+             "groups", "groups_kind", "mesh_prefix_depth"),
+    "model": ("filter_heights", "filters_per_height", "dropout",
+              "channel2_mode", "signing"),
+    "train": ("epochs", "batch_size", "rho", "eps", "downsampling"),
+    "eval": ("folds", "replications", "metric", "stratified"),
+    "run": ("seed",),
 }
+_KINDS = {f.name: f.type for f in fields(RunConfig)}
 
 _EMB_FORMATS = ("text", "binary")
 
 
-def _convert(kind: str, raw: str, where: str):
+def _convert(kind: type, raw: str, where: str):
     raw = raw.strip()
-    if kind == "str":
+    if kind is str:
         return raw
-    if kind == "int":
+    if kind is int:
         try:
             return int(raw)
         except ValueError:
             raise ValueError(f"{where}: {raw!r} is not an integer") from None
-    if kind == "float":
+    if kind is float:
         try:
             return float(raw)
         except ValueError:
             raise ValueError(f"{where}: {raw!r} is not a number") from None
-    if kind == "bool":
+    if kind is bool:
         if raw == "true":
             return True
         if raw == "false":
             return False
         raise ValueError(f"{where}: expected 'true' or 'false', got {raw!r}")
-    if kind == "heights":
-        try:
-            heights = tuple(int(p) for p in raw.split(",") if p.strip() != "")
-        except ValueError:
-            raise ValueError(
-                f"{where}: expected comma-separated integers, got {raw!r}"
-            ) from None
-        if not heights:
-            raise ValueError(f"{where}: needs at least one filter height")
-        return heights
-    raise AssertionError(kind)
+    # tuple: the filter heights
+    try:
+        heights = tuple(int(p) for p in raw.split(",") if p.strip() != "")
+    except ValueError:
+        raise ValueError(
+            f"{where}: expected comma-separated integers, got {raw!r}"
+        ) from None
+    if not heights:
+        raise ValueError(f"{where}: needs at least one filter height")
+    return heights
 
 
-def _render(kind: str, value) -> str:
-    if kind == "bool":
+def _render(value) -> str:
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if kind == "heights":
+    if isinstance(value, tuple):
         return ",".join(str(h) for h in value)
     return str(value)
 
@@ -159,11 +127,11 @@ def parse_config(text: str) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     cp.read_string(text)
-    unknown_sections = set(cp.sections()) - set(_SCHEMA)
+    unknown_sections = set(cp.sections()) - set(_SECTIONS)
     if unknown_sections:
         raise ValueError(f"unknown config sections: {sorted(unknown_sections)}")
     values = {}
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SECTIONS.items():
         if not cp.has_section(section):
             continue
         unknown = set(cp.options(section)) - set(keys)
@@ -171,10 +139,10 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(
                 f"unknown keys in [{section}]: {sorted(unknown)}"
             )
-        for key, kind in keys.items():
+        for key in keys:
             if cp.has_option(section, key):
                 values[key] = _convert(
-                    kind, cp.get(section, key), f"[{section}] {key}"
+                    _KINDS[key], cp.get(section, key), f"[{section}] {key}"
                 )
     return _validate(RunConfig(**values))
 
@@ -187,10 +155,10 @@ def load_config(path) -> RunConfig:
 def dump_config(cfg: RunConfig) -> str:
     """Echo every key; parse_config(dump_config(cfg)) == cfg."""
     lines = []
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SECTIONS.items():
         lines.append(f"[{section}]")
-        for key, kind in keys.items():
-            rendered = _render(kind, getattr(cfg, key))
+        for key in keys:
+            rendered = _render(getattr(cfg, key))
             lines.append(f"{key} = {rendered}".rstrip())
         lines.append("")
     return "\n".join(lines)
@@ -229,7 +197,9 @@ def load_run_inputs(run: RunConfig):
     """Materialize (dataset, vocab, pretrained, group_table) for a run.
 
     With no pretrained path, embedding_dim must be set and the first
-    channel starts from seeded uniform random vectors.
+    channel starts from seeded uniform random vectors. The group file is
+    read only for the modes that start from groups; for the others the
+    table is None.
     """
     if not run.dataset:
         raise ValueError("config has no [data] dataset path")
@@ -256,14 +226,13 @@ def load_run_inputs(run: RunConfig):
         )
 
     group_table = None
-    needs_groups = run.channel2_mode in ("group_init_no_share", "group_init_share")
-    if run.groups:
+    if run.channel2_mode in GROUPED_MODES:
+        if not run.groups:
+            raise ValueError(
+                f"channel2_mode={run.channel2_mode} needs a [data] groups path"
+            )
         kwargs = {}
         if run.groups_kind == "mesh":
             kwargs["prefix_depth"] = run.mesh_prefix_depth
         group_table = load_groups(run.groups, run.groups_kind, vocab, **kwargs)
-    elif needs_groups:
-        raise ValueError(
-            f"channel2_mode={run.channel2_mode} needs a [data] groups path"
-        )
     return dataset, vocab, pretrained, group_table

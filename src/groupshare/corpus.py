@@ -61,18 +61,6 @@ class Vocabulary:
             return self.pad_id
         return self.index.get(word)
 
-    def decode(self, ids) -> list:
-        out = []
-        for i in ids:
-            i = int(i)
-            if i == self.unk_id:
-                out.append(UNK_TOKEN)
-            elif i == self.pad_id:
-                out.append(PAD_TOKEN)
-            else:
-                out.append(self.words[i])
-        return out
-
     def content_hash(self) -> str:
         """SHA-256 of the words in id order, each followed by a newline."""
         text = "\n".join(self.words + ("",))
@@ -83,7 +71,6 @@ class Vocabulary:
 class Dataset:
     """Encoded documents with dense integer labels."""
 
-    name: str
     documents: list
     labels: np.ndarray
     num_classes: int
@@ -124,7 +111,7 @@ def parse_line(line: str, lineno: int):
     return label, tokens
 
 
-def encode(lines, vocab: Vocabulary, name: str = "") -> Dataset:
+def encode(lines, vocab: Vocabulary) -> Dataset:
     """Encode raw dataset lines against a vocabulary.
 
     Unknown tokens map to the UNK id. Labels that all parse as non-negative
@@ -161,17 +148,16 @@ def encode(lines, vocab: Vocabulary, name: str = "") -> Dataset:
         mapping = {s: i for i, s in enumerate(sorted(set(raw_labels)))}
         labels = np.array([mapping[s] for s in raw_labels], dtype=np.int64)
         num_classes = len(mapping)
-    return Dataset(name=name, documents=documents, labels=labels, num_classes=num_classes)
+    return Dataset(documents=documents, labels=labels, num_classes=num_classes)
 
 
-def load_dataset(path, name: str = None):
+def load_dataset(path):
     """Read a dataset file, build its vocabulary, and encode it."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     docs = [parse_line(ln, i)[1] for i, ln in enumerate(lines, start=1) if ln]
     vocab = build_vocabulary(docs)
-    ds = encode(lines, vocab, name=name if name is not None else str(path))
-    return ds, vocab
+    return encode(lines, vocab), vocab
 
 
 # Random rows (out-of-vocabulary words, random embeddings) are drawn
@@ -293,65 +279,6 @@ def _read_binary_embeddings(path):
     if pos != len(blob):
         raise ValueError("binary embedding file has trailing bytes after payload")
     return entries, dim
-
-
-def _format_value(x: np.float32) -> str:
-    return np.format_float_positional(x, unique=True, trim="0")
-
-
-def write_pretrained(matrix: np.ndarray, vocab: Vocabulary, path,
-                     format: str = "text") -> None:
-    """Write vectors for the vocabulary tokens, float32 payload.
-
-    Accepts a matrix with either num_tokens rows or num_rows rows (in the
-    latter case the reserved rows are dropped). load_pretrained on the
-    result reproduces the written values exactly at float32 resolution.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError("embedding matrix must be 2-D")
-    if matrix.shape[0] == vocab.num_rows:
-        matrix = matrix[: vocab.num_tokens]
-    elif matrix.shape[0] != vocab.num_tokens:
-        raise ValueError(
-            f"matrix has {matrix.shape[0]} rows, vocabulary has "
-            f"{vocab.num_tokens} tokens ({vocab.num_rows} rows)"
-        )
-    if matrix.shape[0] == 0:
-        raise ValueError("refusing to write an empty embedding file")
-    if not np.isfinite(matrix).all():
-        raise ValueError("embedding matrix contains non-finite values")
-    values = matrix.astype(np.float32)
-    count, dim = values.shape
-
-    if format == "text":
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"{count} {dim}\n")
-            for i in range(count):
-                word = vocab.words[i]
-                _check_writable_word(word)
-                f.write(word)
-                for v in values[i]:
-                    f.write(" ")
-                    f.write(_format_value(v))
-                f.write("\n")
-    elif format == "binary":
-        with open(path, "wb") as f:
-            f.write(f"{count} {dim}\n".encode("ascii"))
-            for i in range(count):
-                word = vocab.words[i]
-                _check_writable_word(word)
-                f.write(word.encode("utf-8"))
-                f.write(b" ")
-                f.write(values[i].astype("<f4").tobytes())
-                f.write(b"\n")
-    else:
-        raise ValueError(f"unknown embedding format {format!r}")
-
-
-def _check_writable_word(word: str) -> None:
-    if (" " in word) or ("\n" in word) or not word:
-        raise ValueError(f"word {word!r} cannot be stored in embedding files")
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

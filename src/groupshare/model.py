@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, random_pretrained
 from .groups import GroupEmbeddings, GroupTable, init_group_embeddings
 from .hashing import (
     HashSpec,
@@ -57,6 +57,8 @@ from .nnet import (
 from .seeding import derive_seed, make_rng
 
 CHANNEL2_MODES = ("none", "random", "group_init_no_share", "group_init_share")
+# the modes whose second channel starts from a group table
+GROUPED_MODES = ("group_init_no_share", "group_init_share")
 
 
 @dataclass(frozen=True)
@@ -146,20 +148,19 @@ def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
         seed=derive_seed(config.seed, "hash"),
         signing_enabled=config.signing_enabled,
     )
-    if mode == "none":
-        ch2 = None
-    elif mode == "random":
-        rng = make_rng(config.seed, "ch2_random")
-        matrix = rng.uniform(-0.25, 0.25, size=emb_p.shape)
-        matrix[vocab.pad_id] = 0.0
-        ch2 = unshared(matrix, spec)
-    else:
+    if mode in GROUPED_MODES:
         if group_table is None:
             raise ValueError(f"channel2_mode {mode!r} needs a group table")
         group_emb = init_group_embeddings(group_table, emb_p)
         ch2 = init_shared(group_table, group_emb, emb_p, spec)
         if mode == "group_init_no_share":
             ch2 = unshared(ch2.values, spec)
+    elif mode == "random":
+        matrix = random_pretrained(vocab, config.embedding_dim,
+                                   seed=derive_seed(config.seed, "ch2_random"))
+        ch2 = unshared(matrix, spec)
+    else:
+        ch2 = None
 
     def make_bank(label):
         bank = FilterBank()
@@ -235,15 +236,17 @@ class ForwardCache:
     drop_mask: np.ndarray
 
 
-def forward(ids: np.ndarray, params: ModelParams, train: bool = False,
+def forward(ids: np.ndarray, params: ModelParams,
             dropout_rng: np.random.Generator = None):
     """Logits for a chunk of documents padded to one length.
 
     ``ids`` is (documents, length), with length at least the maximum
-    filter height; returns (documents, classes) logits. Pooling covers
-    the windows that fit inside each document's real tokens; a document
-    shorter than a filter keeps its single pad-completed window. Extra
-    trailing padding therefore never changes the logits.
+    filter height; returns (documents, classes) logits. Dropout runs
+    when ``dropout_rng`` is given (training) and not without it
+    (evaluation). Pooling covers the windows that fit inside each
+    document's real tokens; a document shorter than a filter keeps its
+    single pad-completed window. Extra trailing padding therefore never
+    changes the logits.
     """
     config = params.config
     ids = np.asarray(ids, dtype=np.int64)
@@ -281,7 +284,7 @@ def forward(ids: np.ndarray, params: ModelParams, train: bool = False,
         channels.append((grad_key, bank_key, per_height))
 
     feat = np.concatenate(pieces, axis=1)
-    dropped, drop_mask = dropout(feat, config.dropout_rate, train, dropout_rng)
+    dropped, drop_mask = dropout(feat, config.dropout_rate, dropout_rng)
     logits = rows_product(dropped, params.softmax_w) + params.softmax_b
     return logits, ForwardCache(
         ids=ids, real=real, channels=channels, dropped=dropped, drop_mask=drop_mask
@@ -346,9 +349,10 @@ def batch_words(docs) -> np.ndarray:
     return np.unique(np.concatenate(docs)).astype(np.int64, copy=False)
 
 
-def batch_gradients(params: ModelParams, docs, labels, train: bool = True,
+def batch_gradients(params: ModelParams, docs, labels,
                     dropout_rng: np.random.Generator = None):
-    """Mean loss and mean gradients over a batch of documents.
+    """Mean loss and mean gradients over a batch of documents, with
+    dropout drawn from ``dropout_rng`` when it is given.
 
     Returns (loss, grads, words): ``grads["emb_p"]`` and ``grads["ch2"]``
     hold the gradient rows of the ascending word ids ``words`` only; the
@@ -364,7 +368,7 @@ def batch_gradients(params: ModelParams, docs, labels, train: bool = True,
     total_loss = 0.0
     for start, ids in padded_chunks(params, docs):
         chunk_labels = labels[start : start + len(ids)]
-        logits, cache = forward(ids, params, train=train, dropout_rng=dropout_rng)
+        logits, cache = forward(ids, params, dropout_rng=dropout_rng)
         loss, probs = softmax_xent(logits, chunk_labels)
         total_loss += loss.sum()
         backward(softmax_xent_backward(probs, chunk_labels), cache, params, grads,
@@ -451,11 +455,8 @@ def train_step(params: ModelParams, opt: Optimizer, docs, labels) -> float:
     """
     if params.is_shared:
         sync_forward(params.ch2, batch_words(docs))
-    rng = None
-    if params.config.dropout_rate > 0.0:
-        rng = make_rng(params.config.seed, "dropout", params.step_count)
-    loss, grads, words = batch_gradients(params, docs, labels, train=True,
-                                         dropout_rng=rng)
+    rng = make_rng(params.config.seed, "dropout", params.step_count)
+    loss, grads, words = batch_gradients(params, docs, labels, dropout_rng=rng)
     if not np.isfinite(loss):
         raise RuntimeError(f"non-finite loss at step {params.step_count}")
     apply_gradients(params, opt, grads, words)
@@ -469,7 +470,7 @@ def _eval_logits(params: ModelParams, docs):
     if params.is_shared:
         sync_forward(params.ch2)
     for start, ids in padded_chunks(params, docs):
-        logits, _ = forward(ids, params, train=False)
+        logits, _ = forward(ids, params)
         yield start, logits
 
 

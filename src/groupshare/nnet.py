@@ -175,23 +175,22 @@ def softmax_xent_backward(probs: np.ndarray, label) -> np.ndarray:
     return probs - (np.arange(probs.shape[-1]) == labels[..., None])
 
 
-def dropout(vec: np.ndarray, rate: float, train: bool, rng: np.random.Generator = None):
+def dropout(vec: np.ndarray, rate: float, rng: np.random.Generator = None):
     """Inverted dropout on a vector, or on a batch of them, one per row.
 
-    In training each coordinate is zeroed with probability ``rate`` and
-    survivors are scaled by 1/(1-rate), so the expectation matches the
-    evaluation pass, which returns the input unchanged. The mask comes
-    from one ``rng.random`` call, which draws the rows in order, so a
-    batch's mask is the masks of its rows drawn one after another.
-    Returns (output, mask); mask is None when nothing was dropped.
+    With a generator (training) each coordinate is zeroed with
+    probability ``rate`` and survivors are scaled by 1/(1-rate), so the
+    expectation matches the evaluation pass, which passes no generator
+    and gets the input unchanged. The mask comes from one ``rng.random``
+    call, which draws the rows in order, so a batch's mask is the masks
+    of its rows drawn one after another. Returns (output, mask); mask is
+    None when nothing was dropped.
     """
     vec = np.asarray(vec, dtype=np.float64)
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return vec, None
-    if rng is None:
-        raise ValueError("training-mode dropout needs a random generator")
     mask = (rng.random(vec.shape) >= rate) / (1.0 - rate)
     return vec * mask, mask
 
@@ -268,13 +267,6 @@ class FilterBank:
 
     weights: dict = field(default_factory=dict)  # height -> (filters, height, dim)
     biases: dict = field(default_factory=dict)   # height -> (filters,)
-
-    @property
-    def heights(self) -> tuple:
-        return tuple(self.weights)
-
-    def num_features(self) -> int:
-        return sum(w.shape[0] for w in self.weights.values())
 
 
 def init_filter_bank(heights, filters_per_height: int, dim: int,

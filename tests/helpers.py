@@ -36,6 +36,20 @@ def random_group_tsv(rng: np.random.Generator, words, n_groups: int,
     return lines
 
 
+def write_embeddings(path, words, matrix, format="text") -> None:
+    """An embedding file of ``words`` and the first ``len(words)`` rows of
+    ``matrix`` at float32 resolution, in a format load_pretrained reads."""
+    rows = np.asarray(matrix, dtype=np.float32)[: len(words)]
+    with open(path, "wb") as f:
+        f.write(f"{len(words)} {rows.shape[1]}\n".encode())
+        for word, row in zip(words, rows):
+            if format == "binary":
+                f.write(word.encode() + b" " + row.astype("<f4").tobytes() + b"\n")
+            else:
+                values = " ".join(repr(float(v)) for v in row)
+                f.write(f"{word} {values}\n".encode())
+
+
 def dense_gradients(params, grads, words) -> dict:
     """``batch_gradients``' gradients with the embedding rows of ``words``
     scattered into vocabulary-sized matrices, +0.0 everywhere else."""

@@ -52,7 +52,7 @@ def pad_document(ids, min_len, pad_id):
     return np.concatenate([ids, np.full(min_len - ids.shape[0], pad_id)])
 
 
-def forward(ids, params, train=False, dropout_rng=None):
+def forward(ids, params, dropout_rng=None):
     """Logits of one padded document, and what its backward pass needs."""
     config = params.config
     mask = (ids != params.vocab.pad_id).astype(np.float64)
@@ -72,7 +72,7 @@ def forward(ids, params, train=False, dropout_rng=None):
             per_height.append((h, cache, idx, out.shape[0]))
         channels.append((grad_key, bank_key, per_height))
     dropped, drop_mask = dropout(np.concatenate(pieces), config.dropout_rate,
-                                 train, dropout_rng)
+                                 dropout_rng)
     logits = dropped @ params.softmax_w + params.softmax_b
     return logits, (ids, mask, channels, dropped, drop_mask)
 
@@ -100,14 +100,14 @@ def backward(d_logits, cache, params, grads):
         np.add.at(grads[grad_key], ids, dx_total * mask[:, None])
 
 
-def batch_gradients(params, docs, labels, train=True, dropout_rng=None):
+def batch_gradients(params, docs, labels, dropout_rng=None):
     """Mean loss and mean gradients, one document at a time."""
     pad_to = params.config.max_height
     grads = model.zero_gradients(params, params.vocab.num_rows)
     total = 0.0
     for doc, label in zip(docs, labels):
         ids = pad_document(doc, pad_to, params.vocab.pad_id)
-        logits, cache = forward(ids, params, train, dropout_rng)
+        logits, cache = forward(ids, params, dropout_rng)
         loss, probs = softmax_xent(logits, int(label))
         total += loss
         d_logits = probs.copy()

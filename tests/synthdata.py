@@ -50,7 +50,7 @@ def make_synth_corpus(seed, n_docs=2000, n_sets=40, words_per_set=8,
 
     docs = [parse_line(ln, i + 1)[1] for i, ln in enumerate(lines)]
     vocab = build_vocabulary(docs)
-    dataset = encode(lines, vocab, name="synth")
+    dataset = encode(lines, vocab)
     group_lines = [
         f"set{k:02d}\t{w}" for k in range(n_sets) for w in set_words[k]
     ]

@@ -262,7 +262,7 @@ def test_group_gradients_match_finite_differences():
         labels = np.array([0, 1, 0, 1], dtype=np.int64)
 
         hashing.sync_forward(params.channel2)
-        _, grads, words = model.batch_gradients(params, docs, labels, train=False)
+        _, grads, words = model.batch_gradients(params, docs, labels)
         groups_hit, rows = hashing.aggregate_gradients(grads["ch2"], words,
                                                        params.channel2)
         analytic = np.zeros_like(params.channel2.groups.vectors)
@@ -525,7 +525,7 @@ def test_protocol_yields_fifty_records_and_identical_reports():
         lines.append(f"{i % 2}\t" + " ".join(toks))
     docs = [corpus.parse_line(ln, i + 1)[1] for i, ln in enumerate(lines)]
     vocab = corpus.build_vocabulary(docs)
-    dataset = corpus.encode(lines, vocab, name="tiny")
+    dataset = corpus.encode(lines, vocab)
     pretrained = corpus.random_pretrained(vocab, 8, seed=1)
     cfg = model.ModelConfig(
         num_classes=2, embedding_dim=8, filter_heights=(2,),

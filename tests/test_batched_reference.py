@@ -91,10 +91,10 @@ def test_chunked_pass_matches_per_document_reference(mode, heights, dropout_rate
     params = build(mode, heights, dropout_rate, seed)
 
     loss, grads, words = model.batch_gradients(
-        params, docs, labels, train=True, dropout_rng=np.random.default_rng(seed))
+        params, docs, labels, dropout_rng=np.random.default_rng(seed))
     grads = dense_gradients(params, grads, words)
     ref_loss, ref_grads = reference.batch_gradients(
-        params, docs, labels, train=True, dropout_rng=np.random.default_rng(seed))
+        params, docs, labels, dropout_rng=np.random.default_rng(seed))
     assert_close(loss, ref_loss)
     assert set(grads) == set(ref_grads)
     for key in grads:
@@ -190,8 +190,8 @@ def test_batched_kernels_match_their_per_item_forms(seed, batch, height, extra,
 def test_chunk_dropout_mask_is_the_per_document_masks_stacked(seed, docs, features,
                                                               rate):
     feat = np.random.default_rng(seed + 1).normal(0, 1, size=(docs, features))
-    out, mask = dropout(feat, rate, True, np.random.default_rng(seed))
+    out, mask = dropout(feat, rate, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    rows = [dropout(row, rate, True, rng) for row in feat]
+    rows = [dropout(row, rate, rng) for row in feat]
     np.testing.assert_array_equal(mask, np.stack([m for _, m in rows]))
     np.testing.assert_array_equal(out, np.stack([o for o, _ in rows]))

@@ -212,3 +212,18 @@ def test_load_run_inputs_mesh_depth(tmp_path):
                     groups_kind="mesh", mesh_prefix_depth=2)
     _, _, _, table = load_run_inputs(run)
     assert table.group_keys == ["C06.552", "C08.127"]
+
+
+def test_group_file_is_read_only_for_grouped_modes(tmp_path):
+    data = write_tiny_dataset(tmp_path)
+    grp = tmp_path / "groups.tsv"
+    grp.write_text("no tab on this line\n")
+    for mode in ("none", "random"):
+        run = RunConfig(dataset=str(data), embedding_dim=3, groups=str(grp),
+                        channel2_mode=mode)
+        assert load_run_inputs(run)[3] is None
+    for mode in ("group_init_no_share", "group_init_share"):
+        run = RunConfig(dataset=str(data), embedding_dim=3, groups=str(grp),
+                        channel2_mode=mode)
+        with pytest.raises(ValueError, match="line 1"):
+            load_run_inputs(run)

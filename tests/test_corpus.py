@@ -12,9 +12,8 @@ from groupshare.corpus import (
     parse_line,
     random_pretrained,
     save_vocabulary,
-    write_pretrained,
 )
-from helpers import random_words, vocab_of
+from helpers import random_words, vocab_of, write_embeddings
 
 
 def test_vocabulary_ids_follow_first_occurrence():
@@ -38,15 +37,12 @@ def test_vocabulary_rejects_reserved_and_empty():
         build_vocabulary([[], []])
 
 
-def test_vocabulary_lookup_and_decode():
+def test_vocabulary_lookup():
     vocab = vocab_of(["red", "green"])
     assert vocab.lookup("red") == 0
     assert vocab.lookup("missing") is None
     assert vocab.lookup(UNK_TOKEN) == vocab.unk_id
     assert vocab.lookup(PAD_TOKEN) == vocab.pad_id
-    assert vocab.decode([1, 0, vocab.unk_id, vocab.pad_id]) == [
-        "green", "red", UNK_TOKEN, PAD_TOKEN,
-    ]
 
 
 def test_vocabulary_random_bijection():
@@ -85,8 +81,7 @@ def test_parse_line_errors_carry_line_numbers():
 
 def test_encode_basic_and_unknowns():
     vocab = vocab_of(["good", "bad"])
-    ds = encode(["1\tgood good", "0\tbad mystery"], vocab, name="toy")
-    assert ds.name == "toy"
+    ds = encode(["1\tgood good", "0\tbad mystery"], vocab)
     assert len(ds) == 2
     assert ds.num_classes == 2
     assert list(ds.labels) == [1, 0]
@@ -129,13 +124,6 @@ def test_load_dataset_round_trip(tmp_path):
     assert list(ds.documents[0]) == [0, 0]
 
 
-def test_write_pretrained_text_example(tmp_path):
-    vocab = vocab_of(["word"])
-    path = tmp_path / "emb.txt"
-    write_pretrained(np.array([[0.5, -0.5]]), vocab, path)
-    assert path.read_text() == "1 2\nword 0.5 -0.5\n"
-
-
 def test_pretrained_text_round_trip(tmp_path):
     rng = np.random.default_rng(77)
     for trial in range(10):
@@ -144,7 +132,7 @@ def test_pretrained_text_round_trip(tmp_path):
         dim = int(rng.integers(1, 12))
         matrix = rng.normal(0, 2.0, size=(vocab.num_tokens, dim))
         path = tmp_path / f"emb{trial}.txt"
-        write_pretrained(matrix, vocab, path)
+        write_embeddings(path, words, matrix)
         loaded = load_pretrained(path, vocab)
         assert loaded.shape == (vocab.num_rows, dim)
         np.testing.assert_array_equal(
@@ -162,7 +150,7 @@ def test_pretrained_binary_round_trip(tmp_path):
         matrix = rng.normal(0, 2.0, size=(vocab.num_rows, dim))
         matrix[vocab.pad_id] = 0.0
         path = tmp_path / f"emb{trial}.bin"
-        write_pretrained(matrix, vocab, path, format="binary")
+        write_embeddings(path, words, matrix, format="binary")
         loaded = load_pretrained(path, vocab, format="binary")
         np.testing.assert_array_equal(
             loaded[: vocab.num_tokens],
@@ -173,7 +161,7 @@ def test_pretrained_binary_round_trip(tmp_path):
 def test_pretrained_oov_rows_are_seeded(tmp_path):
     vocab = vocab_of(["known", "novel", "fresh"])
     path = tmp_path / "emb.txt"
-    write_pretrained(np.array([[1.0, 2.0]]), vocab_of(["known"]), path)
+    write_embeddings(path, ["known"], [[1.0, 2.0]])
     a = load_pretrained(path, vocab, oov_seed=5)
     b = load_pretrained(path, vocab, oov_seed=5)
     c = load_pretrained(path, vocab, oov_seed=6)
@@ -211,7 +199,7 @@ def test_pretrained_header_and_shape_errors(tmp_path):
 def test_pretrained_binary_truncation(tmp_path):
     vocab = vocab_of(["w"])
     path = tmp_path / "emb.bin"
-    write_pretrained(np.array([[1.0, 2.0]]), vocab, path, format="binary")
+    write_embeddings(path, ["w"], [[1.0, 2.0]], format="binary")
     blob = path.read_bytes()
     clipped = tmp_path / "clip.bin"
     clipped.write_bytes(blob[:-5])
@@ -221,19 +209,6 @@ def test_pretrained_binary_truncation(tmp_path):
     padded.write_bytes(blob + b"xx")
     with pytest.raises(ValueError, match="trailing"):
         load_pretrained(padded, vocab, format="binary")
-
-
-def test_write_pretrained_accepts_full_matrix(tmp_path):
-    vocab = vocab_of(["a", "b"])
-    full = np.arange(vocab.num_rows * 3, dtype=np.float64).reshape(vocab.num_rows, 3)
-    path = tmp_path / "emb.txt"
-    write_pretrained(full, vocab, path)
-    loaded = load_pretrained(path, vocab)
-    np.testing.assert_array_equal(loaded[:2], full[:2])
-    with pytest.raises(ValueError, match="rows"):
-        write_pretrained(np.zeros((3, 3)), vocab, path)
-    with pytest.raises(ValueError, match="non-finite"):
-        write_pretrained(np.array([[np.nan], [1.0]]), vocab, path)
 
 
 def test_random_pretrained_properties():

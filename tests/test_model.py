@@ -158,12 +158,12 @@ def test_initial_loss_is_log_num_classes():
 def test_batch_gradient_is_mean_of_per_document_gradients():
     params, docs, labels, *_ = tiny_setup(seed=6)
     params.softmax_w += np.random.default_rng(0).normal(0, 0.3, params.softmax_w.shape)
-    loss, grads, words = batch_gradients(params, docs[:5], labels[:5], train=False)
+    loss, grads, words = batch_gradients(params, docs[:5], labels[:5])
     grads = dense_gradients(params, grads, words)
     summed = {k: np.zeros_like(v) for k, v in grads.items()}
     total = 0.0
     for doc, label in zip(docs[:5], labels[:5]):
-        l1, g1, w1 = batch_gradients(params, [doc], [label], train=False)
+        l1, g1, w1 = batch_gradients(params, [doc], [label])
         g1 = dense_gradients(params, g1, w1)
         total += l1
         for k in summed:
@@ -177,7 +177,7 @@ def test_gradients_pass_finite_difference_spot_checks():
     params, docs, labels, *_ = tiny_setup(seed=11, mode="random")
     rng = np.random.default_rng(5)
     params.softmax_w += rng.normal(0, 0.3, params.softmax_w.shape)
-    _, grads, words = batch_gradients(params, docs[:4], labels[:4], train=False)
+    _, grads, words = batch_gradients(params, docs[:4], labels[:4])
     grads = dense_gradients(params, grads, words)
     eps = 1e-6
     targets = [
@@ -417,18 +417,18 @@ def test_bad_gradient_leaves_no_half_applied_step(mode, monkeypatch):
         train_step(params, opt, docs, labels)
     assert _state_bytes(params, opt) == before
 
-    _, grads, words = real(params, docs, labels, train=False)
+    _, grads, words = real(params, docs, labels)
     grads["softmax/W"] = grads["softmax/W"][:-1]
     with pytest.raises(ValueError, match="shape"):
         apply_gradients(params, opt, grads, words)
     assert _state_bytes(params, opt) == before
 
     # the embedding gradient carries one row per batch word
-    _, grads, words = real(params, docs, labels, train=False)
+    _, grads, words = real(params, docs, labels)
     grads["emb_p"] = grads["emb_p"][:-1]
     with pytest.raises(ValueError, match="shape"):
         apply_gradients(params, opt, grads, words)
-    _, grads, words = real(params, docs, labels, train=False)
+    _, grads, words = real(params, docs, labels)
     grads["emb_p"][0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         apply_gradients(params, opt, grads, words)

@@ -155,24 +155,23 @@ def test_softmax_backward_finite_differences():
 def test_dropout_modes():
     rng = np.random.default_rng(4)
     vec = rng.normal(0, 1, size=2000)
-    out, mask = dropout(vec, 0.5, train=False)
+    # no generator (evaluation): the input comes back, nothing is drawn
+    out, mask = dropout(vec, 0.5)
     np.testing.assert_array_equal(out, vec)
     assert mask is None
-    out, mask = dropout(vec, 0.0, train=True, rng=rng)
+    out, mask = dropout(vec, 0.0, rng=rng)
     np.testing.assert_array_equal(out, vec)
     assert mask is None
-    out, mask = dropout(vec, 0.5, train=True, rng=np.random.default_rng(1))
+    out, mask = dropout(vec, 0.5, rng=np.random.default_rng(1))
     dropped = np.count_nonzero(mask == 0.0)
     assert 0.4 < dropped / vec.size < 0.6
     surviving = mask[mask > 0]
     np.testing.assert_allclose(surviving, 2.0)
     np.testing.assert_array_equal(out, vec * mask)
     with pytest.raises(ValueError):
-        dropout(vec, 1.0, train=True, rng=rng)
+        dropout(vec, 1.0, rng=rng)
     with pytest.raises(ValueError):
-        dropout(vec, -0.1, train=True, rng=rng)
-    with pytest.raises(ValueError, match="generator"):
-        dropout(vec, 0.5, train=True)
+        dropout(vec, -0.1, rng=rng)
 
 
 def test_dropout_preserves_expectation():
@@ -181,7 +180,7 @@ def test_dropout_preserves_expectation():
     total = np.zeros_like(vec)
     reps = 200
     for _ in range(reps):
-        out, _ = dropout(vec, 0.3, train=True, rng=rng)
+        out, _ = dropout(vec, 0.3, rng=rng)
         total += out
     # global mean over 10^6 draws: std ~ 0.00065, so 0.01 is generous
     assert abs((total / reps).mean() - 1.0) < 0.01
@@ -348,8 +347,8 @@ def test_adadelta_step_size_adapts():
 def test_filter_bank_init():
     rng = np.random.default_rng(3)
     bank = init_filter_bank([3, 4, 5], 10, 7, rng)
-    assert bank.heights == (3, 4, 5)
-    assert bank.num_features() == 30
+    assert tuple(bank.weights) == (3, 4, 5)
+    assert sum(w.shape[0] for w in bank.weights.values()) == 30
     for h in (3, 4, 5):
         assert bank.weights[h].shape == (10, h, 7)
         np.testing.assert_array_equal(bank.biases[h], np.full(10, 0.1))
