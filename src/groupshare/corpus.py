@@ -191,9 +191,9 @@ def load_pretrained(path, vocab: Vocabulary, format: str = "text",
         matrix[idx] = vec
         present[idx] = True
     rng = np.random.default_rng(oov_seed)
-    for i in range(vocab.num_rows):
-        if not present[i]:
-            matrix[i] = rng.uniform(-OOV_BOUND, OOV_BOUND, size=dim)
+    missing = ~present
+    matrix[missing] = rng.uniform(-OOV_BOUND, OOV_BOUND,
+                                  size=(np.count_nonzero(missing), dim))
     return matrix
 
 

@@ -23,10 +23,11 @@ def kfold_split(labels, k: int, seed: int, stratified: bool = True):
     """Split indices 0..n-1 into k test folds.
 
     Stratified splits permute each class separately and deal its
-    instances round-robin across folds, so fold class ratios track the
-    corpus. Every class must have at least k instances. Unstratified
-    splits permute everything once and cut contiguous chunks, the first
-    n % k folds getting one extra. Fold index arrays come back sorted.
+    instances round-robin across folds (fold f takes every k-th instance
+    from the f-th on), so fold class ratios track the corpus. Every class
+    must have at least k instances. Unstratified splits permute
+    everything once and cut contiguous chunks, the first n % k folds
+    getting one extra. Fold index arrays come back sorted.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -35,26 +36,19 @@ def kfold_split(labels, k: int, seed: int, stratified: bool = True):
     if n < k:
         raise ValueError(f"cannot split {n} instances into {k} folds")
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
     if stratified:
+        perms = []
         for cls in np.unique(labels):
             idx = np.flatnonzero(labels == cls)
             if idx.size < k:
                 raise ValueError(
                     f"class {cls} has {idx.size} instances, fewer than k={k}"
                 )
-            idx = rng.permutation(idx)
-            for pos, i in enumerate(idx):
-                folds[pos % k].append(int(i))
+            perms.append(rng.permutation(idx))
+        folds = [np.concatenate([perm[f::k] for perm in perms]) for f in range(k)]
     else:
-        perm = rng.permutation(n)
-        sizes = np.full(k, n // k, dtype=np.int64)
-        sizes[: n % k] += 1
-        start = 0
-        for f in range(k):
-            folds[f] = [int(i) for i in perm[start : start + sizes[f]]]
-            start += sizes[f]
-    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+        folds = np.array_split(rng.permutation(n), k)
+    return [np.sort(fold).astype(np.int64, copy=False) for fold in folds]
 
 
 def downsample(indices, labels, seed: int) -> np.ndarray:

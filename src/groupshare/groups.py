@@ -97,11 +97,11 @@ class _TableBuilder:
         self.members[gid].append(wid)
 
     def finish(self) -> GroupTable:
-        keep = [g for g in range(len(self.members)) if self.members[g]]
-        keys = [self.group_keys[g] for g in keep]
-        members = [sorted(self.members[g]) for g in keep]
+        # add() creates a group only when it appends the group's first
+        # member, so no group is empty
         return GroupTable(
-            self.vocab.num_rows, keys, members,
+            self.vocab.num_rows, self.group_keys,
+            [sorted(ws) for ws in self.members],
             oov_skipped=len(self.oov_skipped_words),
             multiword_skipped=self.multiword_skipped,
         )

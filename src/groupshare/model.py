@@ -47,7 +47,6 @@ from .nnet import (
     conv_backward,
     conv_forward,
     dropout,
-    init_filter_bank,
     maxpool1,
     maxpool1_backward,
     rows_product,
@@ -163,14 +162,13 @@ def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
         ch2 = None
 
     def make_bank(label):
+        """Weights ~ N(0, 0.1) from one stream per height, biases 0.1."""
         bank = FilterBank()
+        f = config.filters_per_height
         for h in config.filter_heights:
-            sub = init_filter_bank(
-                [h], config.filters_per_height, config.embedding_dim,
-                make_rng(config.seed, label, h),
-            )
-            bank.weights[h] = sub.weights[h]
-            bank.biases[h] = sub.biases[h]
+            bank.weights[h] = make_rng(config.seed, label, h).normal(
+                0.0, 0.1, size=(f, h, config.embedding_dim))
+            bank.biases[h] = np.full(f, 0.1)
         return bank
 
     bank_p = make_bank("bank_p")

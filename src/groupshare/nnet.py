@@ -1,10 +1,12 @@
 """Numpy kernels for the convolutional text classifier.
 
 All kernels are pure numpy in float64, written as forward/backward pairs
-so gradients can be finite-difference checked. Convolutions slide over
-the token axis of a (length, dim) input, or of a batch of inputs padded
-to one length, with full-width filters, which reduces each filter to a
-dot product per window.
+so gradients can be finite-difference checked. Each takes the form that
+``model`` passes: a chunk of documents padded to one length, documents
+first; the convolution also takes one (length, dim) document. Filters
+span the full width, so each is a dot product per window. The kernels
+trust their callers' checks: ``model.forward`` checks the chunk length,
+``ModelConfig`` the dropout rate, ``model.apply_gradients`` each gradient.
 """
 
 import math
@@ -47,24 +49,18 @@ def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
     """Full-width 1-D convolution over the token axis, with a ReLU.
 
     x: (length, dim), or (batch, length, dim) for inputs padded to one
-    length; weights: (filters, height, dim); bias: (filters,). Returns
-    ((windows, filters) activations, with the batch axis in front for a
-    batch, and a cache for the backward pass).
+    length, with length at least the filter height; weights: (filters,
+    height, dim); bias: (filters,). Returns ((windows, filters)
+    activations, with the batch axis in front for a batch, and a cache for
+    the backward pass).
 
     A single input's windows are a strided view of it and go through one
     plain product. A batch's windows are copied into a buffer of
     ``padded_rows`` rows and go through rows_product, so that each row's
     result does not depend on the rest of the batch.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ValueError("input must be (length, dim) or (batch, length, dim)")
     length, dim = x.shape[-2:]
-    f, height, wdim = weights.shape
-    if wdim != dim:
-        raise ValueError(f"filter width {wdim} does not match input width {dim}")
-    if length < height:
-        raise ValueError(f"input length {length} shorter than filter height {height}")
+    f, height, _ = weights.shape
     n_t = length - height + 1
     w = weights.reshape(f, height * dim).T
     if x.ndim == 2:
@@ -107,72 +103,57 @@ def conv_backward(d_out: np.ndarray, cache):
     return dx.reshape(x_shape), d_w, d_b
 
 
-def maxpool1(values: np.ndarray, counts: np.ndarray = None):
-    """Max over the window axis, first index winning ties.
+def maxpool1(values: np.ndarray, counts: np.ndarray):
+    """Max over the window axis of a batch, first index winning ties.
 
-    values: (n,) or (n, filters), or (batch, n, filters) for a batch, in
-    which item ``b`` pools its first ``counts[b]`` windows only (all of
-    them when ``counts`` is None). Returns (max values, argmax indices).
+    values: (batch, windows, filters); item ``b`` pools its first
+    ``counts[b]`` windows only, with ``1 <= counts[b] <= windows``.
+    Returns ((batch, filters) max values, (batch, filters) argmax indices).
     """
-    values = np.asarray(values)
-    axis = 1 if values.ndim == 3 else 0
-    if values.shape[axis] == 0:
-        raise ValueError("cannot pool over an empty axis")
-    if counts is not None:
-        counts = np.asarray(counts)
-        if values.ndim != 3 or counts.shape != values.shape[:1] or counts.min() < 1:
-            raise ValueError("need a batch and a positive window count per item")
-        if counts.min() < values.shape[1]:
-            valid = np.arange(values.shape[1]) < counts[:, None]
-            values = np.where(valid[:, :, None], values, -np.inf)
-    return values.max(axis=axis), values.argmax(axis=axis)
+    if counts.min() < values.shape[1]:
+        valid = np.arange(values.shape[1]) < counts[:, None]
+        values = np.where(valid[:, :, None], values, -np.inf)
+    return values.max(axis=1), values.argmax(axis=1)
 
 
 def maxpool1_backward(d_out: np.ndarray, idx: np.ndarray, length: int) -> np.ndarray:
     """Scatter pooled gradients back to the argmax positions.
 
-    d_out: () or (filters,), or (batch, filters) for a batch; the window
-    axis of length ``length`` is inserted where maxpool1 removed it.
+    d_out and idx: (batch, filters); returns (batch, length, filters),
+    zero outside the argmax windows.
     """
-    d_out = np.asarray(d_out, dtype=np.float64)
-    axis = 1 if d_out.ndim == 2 else 0
-    shape = d_out.shape[:axis] + (length,) + d_out.shape[axis:]
-    grad = np.zeros(shape, dtype=np.float64)
-    np.put_along_axis(grad, np.expand_dims(idx, axis),
-                      np.expand_dims(d_out, axis), axis=axis)
+    grad = np.zeros((d_out.shape[0], length, d_out.shape[1]), dtype=np.float64)
+    np.put_along_axis(grad, idx[:, None, :], d_out[:, None, :], axis=1)
     return grad
 
 
-def softmax_xent(logits: np.ndarray, label):
-    """Cross-entropy of a softmax over ``logits`` against the true label.
+def softmax_xent(logits: np.ndarray, labels):
+    """Cross-entropy of a softmax over each row of ``logits`` against its
+    true label.
 
-    logits: (classes,) with one label, or (batch, classes) with one label
-    per row. Returns (loss, probabilities), a loss per row for a batch.
-    Stabilized by subtracting the max logit, so large scores do not
-    overflow.
+    logits: (batch, classes); labels: one class index per row. Returns
+    ((batch,) losses, (batch, classes) probabilities). Stabilized by
+    subtracting each row's max logit, so large scores do not overflow.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(label, dtype=np.int64)
-    if logits.ndim not in (1, 2) or labels.shape != logits.shape[:-1]:
-        raise ValueError("logits must be 1-D with one label, or 2-D with a "
-                         "label per row")
-    classes = logits.shape[-1]
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != logits.shape[:1]:
+        raise ValueError("need one label per row of logits")
+    classes = logits.shape[1]
     if ((labels < 0) | (labels >= classes)).any():
         raise ValueError(f"label outside [0, {classes})")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    total = exp.sum(axis=-1, keepdims=True)
+    total = exp.sum(axis=1, keepdims=True)
     probs = exp / total
-    picked = np.take_along_axis(shifted, labels[..., None], axis=-1)
-    loss = (np.log(total) - picked)[..., 0]
+    picked = np.take_along_axis(shifted, labels[:, None], axis=1)
+    loss = (np.log(total) - picked)[:, 0]
     return loss, probs
 
 
-def softmax_xent_backward(probs: np.ndarray, label) -> np.ndarray:
-    """d loss / d logits = probabilities minus the one-hot label, per row."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(label, dtype=np.int64)
-    return probs - (np.arange(probs.shape[-1]) == labels[..., None])
+def softmax_xent_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """d loss / d logits = probabilities minus the one-hot label, per row;
+    ``labels`` as softmax_xent checked them."""
+    return probs - (np.arange(probs.shape[1]) == labels[:, None])
 
 
 def dropout(vec: np.ndarray, rate: float, rng: np.random.Generator = None):
@@ -186,9 +167,6 @@ def dropout(vec: np.ndarray, rate: float, rng: np.random.Generator = None):
     of its rows drawn one after another. Returns (output, mask); mask is
     None when nothing was dropped.
     """
-    vec = np.asarray(vec, dtype=np.float64)
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
     if rng is None or rate == 0.0:
         return vec, None
     mask = (rng.random(vec.shape) >= rate) / (1.0 - rate)
@@ -231,14 +209,9 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
     ``state_rows`` numbers the same rows in ``state`` when its rows are
     not those of ``param`` (default: ``rows``).
     """
-    grad = np.asarray(grad, dtype=np.float64)
     if rows is None:
-        if grad.shape != param.shape:
-            raise ValueError("gradient shape does not match parameter shape")
         _adadelta_step(param, grad, state, rho, eps)
         return
-    if grad.shape != (len(rows),) + param.shape[1:]:
-        raise ValueError("gradient shape does not match the parameter rows")
     at = rows if state_rows is None else state_rows
     acc = AdadeltaState(sq_grad=state.sq_grad[at], sq_delta=state.sq_delta[at])
     moved = param[rows]
@@ -251,8 +224,6 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
 
 
 def _adadelta_step(param, grad, state, rho, eps) -> None:
-    if not np.isfinite(grad).all():
-        raise ValueError("non-finite gradient")
     state.sq_grad *= rho
     state.sq_grad += (1.0 - rho) * grad * grad
     delta = -np.sqrt(state.sq_delta + eps) / np.sqrt(state.sq_grad + eps) * grad
@@ -267,15 +238,3 @@ class FilterBank:
 
     weights: dict = field(default_factory=dict)  # height -> (filters, height, dim)
     biases: dict = field(default_factory=dict)   # height -> (filters,)
-
-
-def init_filter_bank(heights, filters_per_height: int, dim: int,
-                     rng: np.random.Generator) -> FilterBank:
-    """Weights ~ N(0, 0.1), biases 0.1, heights kept in given order."""
-    bank = FilterBank()
-    for h in heights:
-        if h < 1:
-            raise ValueError(f"filter height {h} must be positive")
-        bank.weights[h] = rng.normal(0.0, 0.1, size=(filters_per_height, h, dim))
-        bank.biases[h] = np.full(filters_per_height, 0.1, dtype=np.float64)
-    return bank

@@ -12,6 +12,8 @@ from groupshare.config import (
     model_config,
     parse_config,
 )
+from groupshare.evaluation import ExperimentConfig
+from groupshare.model import ModelConfig, Optimizer
 
 
 def test_empty_text_yields_defaults():
@@ -157,6 +159,17 @@ def test_model_and_experiment_config_mapping():
     assert ec.downsampling is True
     assert ec.rho == 0.9 and ec.eps == 1e-5
     assert ec.seed == 77
+
+
+def test_ini_defaults_equal_the_dataclass_defaults():
+    # each default is written twice: on RunConfig (the INI schema) and on
+    # the dataclass the run builds from it
+    mc = model_config(RunConfig(), 2, 1)
+    assert mc == ModelConfig(2, 1)
+    ec = experiment_config(RunConfig(), mc)
+    assert ec == ExperimentConfig(model=mc)
+    opt = Optimizer()
+    assert (opt.rho, opt.eps) == (ec.rho, ec.eps)
 
 
 def write_tiny_dataset(tmp_path):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshare.corpus import Dataset, random_pretrained
 from groupshare.evaluation import (
@@ -65,6 +67,45 @@ def test_kfold_stratified_balances_classes():
         for cls in (0, 1):
             per_fold = [int(np.sum(labels[f] == cls)) for f in folds]
             assert max(per_fold) - min(per_fold) <= 1
+
+
+def round_robin_kfold(labels, k, seed, stratified):
+    """The fold loop kfold_split replaced: deal each class's permutation
+    round-robin, or cut the one permutation into contiguous chunks."""
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    if stratified:
+        for cls in np.unique(labels):
+            idx = rng.permutation(np.flatnonzero(labels == cls))
+            for pos, i in enumerate(idx):
+                folds[pos % k].append(int(i))
+    else:
+        perm = rng.permutation(labels.shape[0])
+        sizes = np.full(k, labels.shape[0] // k, dtype=np.int64)
+        sizes[: labels.shape[0] % k] += 1
+        start = 0
+        for f in range(k):
+            folds[f] = [int(i) for i in perm[start : start + sizes[f]]]
+            start += sizes[f]
+    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 7),
+       n_classes=st.integers(1, 4), extra=st.integers(0, 30),
+       stratified=st.booleans())
+def test_kfold_matches_round_robin_loop(seed, k, n_classes, extra, stratified):
+    rng = np.random.default_rng(seed)
+    # every class keeps at least k instances
+    labels = rng.permutation(np.concatenate([
+        np.arange(n_classes).repeat(k),
+        rng.integers(0, n_classes, size=extra)]))
+    folds = kfold_split(labels, k, seed=seed, stratified=stratified)
+    want = round_robin_kfold(labels, k, seed, stratified)
+    assert len(folds) == k
+    for got, ref in zip(folds, want):
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_kfold_argument_errors():

@@ -65,6 +65,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(num_classes=2, embedding_dim=4, filter_heights=())
     with pytest.raises(ValueError):
+        ModelConfig(num_classes=2, embedding_dim=4, filter_heights=(3, 0))
+    with pytest.raises(ValueError):
         ModelConfig(num_classes=2, embedding_dim=4, dropout_rate=1.0)
     with pytest.raises(ValueError):
         ModelConfig(num_classes=2, embedding_dim=4, channel2_mode="tied")
