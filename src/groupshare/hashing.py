@@ -8,8 +8,9 @@ G(i):
 
     E_shared[i, j] = g[G(i)[h(i, j) mod |G(i)|], j] * sign(i, j)
 
-The same routing maps gradients back: every group coordinate accumulates
-the signed gradients of the word coordinates it feeds. Words in no group
+No grouped row is stored; every read goes through the routing. The same
+routing maps gradients back: every group coordinate accumulates the
+signed gradients of the word coordinates it feeds. Words in no group
 keep a private row that trains independently; with no groups at all the
 embedding is an ordinary free matrix.
 
@@ -18,7 +19,7 @@ hashes (xor-shift and multiply rounds). It is versioned so stored models
 can detect an incompatible routing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,6 +109,7 @@ class Routing:
     """Precomputed coordinate routing for all grouped words.
 
     grouped_ids: (G,) ascending word ids that belong to at least one group;
+    private_ids: ascending ids of the other words, which keep a private row;
     signs:       (G, d) int8 sign factor of each coordinate;
     flat:        (G, d) int64 position, in the flattened (groups, d) group
                  matrix, of the coordinate feeding each word coordinate:
@@ -115,6 +117,7 @@ class Routing:
     """
 
     grouped_ids: np.ndarray
+    private_ids: np.ndarray
     signs: np.ndarray
     flat: np.ndarray
 
@@ -122,10 +125,12 @@ class Routing:
 def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
     """Vectorized routing for every grouped word over ``dim`` coordinates."""
     grouped = np.array(table.grouped_word_ids(), dtype=np.int64)
+    private = np.setdiff1d(np.arange(table.vocab_size), grouped)
     if grouped.size == 0:
         # a free channel; the hash rounds below cost ~80 us on empty arrays
         return Routing(
             grouped_ids=grouped,
+            private_ids=private,
             signs=np.ones((0, dim), dtype=np.int8),
             flat=np.zeros((0, dim), dtype=np.int64),
         )
@@ -147,47 +152,43 @@ def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
     flat[multi] = np.take_along_axis(padded[multi], bucket, axis=1)
     flat += dims
     signs = _signs(grouped[:, None], dims[None, :], spec)
-    return Routing(grouped_ids=grouped, signs=signs, flat=flat)
+    return Routing(grouped_ids=grouped, private_ids=private, signs=signs,
+                   flat=flat)
 
 
 @dataclass
 class SharedEmbedding:
-    """Embedding matrix whose grouped rows are views onto group parameters.
+    """Embedding whose grouped rows are read from group parameters.
 
-    ``values`` is the materialized (vocab_size, d) matrix used by the
-    network. Rows of grouped words are rebuilt from ``groups`` by sync();
-    rows of ungrouped words (``private_ids``, derived from the routing)
-    are ordinary parameters. Over a table with no groups every row is
-    private, and the embedding trains as a free matrix (see ``unshared``).
+    ``sync_forward`` reads a grouped word's row from ``groups`` through
+    the routing. The rows of the ungrouped words (``private_ids``) are the
+    rows of ``private``, ordinary parameters. Over a table with no groups
+    every row is private: a free matrix (see ``unshared``).
     """
 
-    values: np.ndarray
+    private: np.ndarray
     table: GroupTable
     groups: GroupEmbeddings
     spec: HashSpec
     routing: Routing
-    private_ids: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        grouped = np.zeros(self.table.vocab_size, dtype=bool)
-        grouped[self.routing.grouped_ids] = True
-        self.private_ids = np.flatnonzero(~grouped)
+        want = (self.private_ids.size, self.groups.dim)
+        if self.private.shape != want:
+            raise ValueError(f"private rows are {self.private.shape}, not {want}")
+
+    @property
+    def private_ids(self) -> np.ndarray:
+        return self.routing.private_ids
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.private.shape[1]
 
-    def sync(self, words=None) -> None:
-        """Rebuild grouped rows of ``values`` from the group parameters:
-        every one of them, or those among the ascending ids ``words``."""
-        r = self.routing
-        ids, flat, signs = r.grouped_ids, r.flat, r.signs
-        if words is not None:
-            _, at = locate(ids, words)
-            ids, flat, signs = ids[at], flat[at], signs[at]
-        rows = np.take(self.groups.vectors, flat)
-        rows *= signs
-        self.values[ids] = rows
+    @property
+    def values(self) -> np.ndarray:
+        """The whole (vocab_size, d) matrix, built afresh on each read."""
+        return sync_forward(self)
 
 
 def locate(sorted_ids: np.ndarray, ids) -> tuple:
@@ -221,33 +222,41 @@ def init_shared(table: GroupTable, group_embeddings: GroupEmbeddings,
     dim = pretrained.shape[1]
     if group_embeddings.dim != dim:
         raise ValueError("group embedding width does not match pretrained width")
-    shared = SharedEmbedding(
-        values=pretrained.copy(),
-        table=table,
-        groups=group_embeddings,
-        spec=spec,
-        routing=build_routing(table, dim, spec),
-    )
-    shared.sync()
-    return shared
+    routing = build_routing(table, dim, spec)
+    return SharedEmbedding(private=pretrained[routing.private_ids], table=table,
+                           groups=group_embeddings, spec=spec, routing=routing)
 
 
 def unshared(values: np.ndarray, spec: HashSpec) -> SharedEmbedding:
-    """A shared embedding over no groups, wrapping ``values`` itself:
-    every row is private, so it trains as a free matrix."""
+    """A shared embedding over no groups, whose private rows are
+    ``values`` itself: it trains as a free matrix."""
     vocab_size, dim = values.shape
     table = GroupTable(vocab_size, [], [])
     return SharedEmbedding(
-        values=values, table=table,
+        private=values, table=table,
         groups=GroupEmbeddings(vectors=np.zeros((0, dim))), spec=spec,
         routing=build_routing(table, dim, spec),
     )
 
 
-def sync_forward(shared: SharedEmbedding, words=None) -> None:
-    """Refresh the materialized rows a forward pass reads: every grouped
-    row, or those of the ascending ids ``words``."""
-    shared.sync(words)
+# Rows per pass of sync_forward: a whole-matrix read holds temporaries of
+# this many rows beside its output; a training step's words take one pass.
+GATHER_ROWS = 1024
+
+
+def sync_forward(shared: SharedEmbedding, words=None) -> np.ndarray:
+    """The embedding rows of the ascending ids ``words`` (None: every row).
+    A grouped coordinate is ``take(vectors, flat) * signs``."""
+    r = shared.routing
+    words = np.arange(shared.table.vocab_size) if words is None else np.asarray(words)
+    out = np.empty((words.size, shared.dim))
+    for lo in range(0, words.size, GATHER_ROWS):
+        block, dest = words[lo : lo + GATHER_ROWS], out[lo : lo + GATHER_ROWS]
+        which, at = locate(r.private_ids, block)
+        dest[which] = shared.private[at]
+        which, at = locate(r.grouped_ids, block)
+        dest[which] = np.take(shared.groups.vectors, r.flat[at]) * r.signs[at]
+    return out
 
 
 def aggregate_gradients(grad_rows: np.ndarray, words,

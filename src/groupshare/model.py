@@ -50,6 +50,7 @@ from .nnet import (
     maxpool1,
     maxpool1_backward,
     rows_product,
+    softmax,
     softmax_xent,
     softmax_xent_backward,
 )
@@ -117,13 +118,13 @@ class ModelParams:
 
     @property
     def is_shared(self) -> bool:
-        """The second channel is tied to group rows (it has groups to sync)."""
+        """The second channel is tied to group rows."""
         return self.config.channel2_mode == "group_init_share"
 
     @property
     def channel2(self):
-        """Read-only view: the SharedEmbedding when it is tied, the matrix
-        of a free channel, None without a second channel."""
+        """Read-only view: the SharedEmbedding when it is tied, a copy of the
+        matrix of a free channel, None without a second channel."""
         return self.ch2 if self.is_shared else self.channel2_values()
 
     def channel2_values(self):
@@ -143,10 +144,8 @@ def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
     emb_p = pretrained.copy()
 
     mode = config.channel2_mode
-    spec = HashSpec(
-        seed=derive_seed(config.seed, "hash"),
-        signing_enabled=config.signing_enabled,
-    )
+    spec = HashSpec(seed=derive_seed(config.seed, "hash"),
+                    signing_enabled=config.signing_enabled)
     if mode in GROUPED_MODES:
         if group_table is None:
             raise ValueError(f"channel2_mode {mode!r} needs a group table")
@@ -171,19 +170,12 @@ def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
             bank.biases[h] = np.full(f, 0.1)
         return bank
 
-    bank_p = make_bank("bank_p")
-    bank_s = None if mode == "none" else make_bank("bank_s")
-
     return ModelParams(
-        config=config,
-        vocab=vocab,
-        emb_pretrained=emb_p,
-        ch2=ch2,
-        bank_p=bank_p,
-        bank_s=bank_s,
-        softmax_w=np.zeros((config.num_features, config.num_classes),
-                           dtype=np.float64),
-        softmax_b=np.zeros(config.num_classes, dtype=np.float64),
+        config=config, vocab=vocab, emb_pretrained=emb_p, ch2=ch2,
+        bank_p=make_bank("bank_p"),
+        bank_s=None if mode == "none" else make_bank("bank_s"),
+        softmax_w=np.zeros((config.num_features, config.num_classes)),
+        softmax_b=np.zeros(config.num_classes),
     )
 
 
@@ -225,21 +217,34 @@ def padded_chunks(params: ModelParams, docs):
         start = end
 
 
+def channel_rows(params: ModelParams, docs) -> tuple:
+    """(words, rows): the ascending distinct word ids of ``docs``, and a
+    list of each channel's embedding rows of them."""
+    words = np.unique(np.concatenate([np.empty(0, np.int64), *docs]))
+    rows = [params.emb_pretrained[words]]
+    if params.ch2 is not None:
+        rows.append(sync_forward(params.ch2, words))
+    return words, rows
+
+
 @dataclass
 class ForwardCache:
     ids: np.ndarray
     real: np.ndarray    # (documents, length) bool: not a PAD position
+    slots: np.ndarray   # row in ``words`` of each real position, row-major
     channels: list      # per channel: (grad_key, bank_key, per-height caches)
     dropped: np.ndarray
     drop_mask: np.ndarray
 
 
-def forward(ids: np.ndarray, params: ModelParams,
+def forward(ids: np.ndarray, params: ModelParams, words: np.ndarray, rows: list,
             dropout_rng: np.random.Generator = None):
     """Logits for a chunk of documents padded to one length.
 
     ``ids`` is (documents, length), with length at least the maximum
-    filter height; returns (documents, classes) logits. Dropout runs
+    filter height; returns (documents, classes) logits. ``words`` and
+    ``rows`` are as ``channel_rows`` gives them, and ``words`` holds every
+    id in the chunk but PAD; PAD positions read +0.0. Dropout runs
     when ``dropout_rng`` is given (training) and not without it
     (evaluation). Pooling covers the windows that fit inside each
     document's real tokens; a document shorter than a filter keeps its
@@ -258,9 +263,8 @@ def forward(ids: np.ndarray, params: ModelParams,
     if (real_len == 0).any():
         raise ValueError("document is all padding")
 
-    matrices = [("emb_p", "bank_p", params.emb_pretrained, params.bank_p)]
-    if params.ch2 is not None:
-        matrices.append(("ch2", "bank_s", params.ch2.values, params.bank_s))
+    slots = np.searchsorted(words, ids[real])
+    banks = [("emb_p", "bank_p", params.bank_p), ("ch2", "bank_s", params.bank_s)]
 
     # A document longer than half of CHUNK_POSITIONS always has a chunk to
     # itself, so its products keep one shape whatever documents surround
@@ -269,8 +273,9 @@ def forward(ids: np.ndarray, params: ModelParams,
     alone = ids.shape[1] > CHUNK_POSITIONS // 2
     channels = []
     pieces = []
-    for grad_key, bank_key, matrix, bank in matrices:
-        x = matrix[ids] * real[:, :, None]
+    for (grad_key, bank_key, bank), table in zip(banks, rows):  # one per channel
+        x = np.zeros(ids.shape + (table.shape[1],))
+        x[real] = table[slots]
         per_height = []
         for h in config.filter_heights:
             out, cache = conv_forward(x[0] if alone else x, bank.weights[h],
@@ -284,9 +289,8 @@ def forward(ids: np.ndarray, params: ModelParams,
     feat = np.concatenate(pieces, axis=1)
     dropped, drop_mask = dropout(feat, config.dropout_rate, dropout_rng)
     logits = rows_product(dropped, params.softmax_w) + params.softmax_b
-    return logits, ForwardCache(
-        ids=ids, real=real, channels=channels, dropped=dropped, drop_mask=drop_mask
-    )
+    return logits, ForwardCache(ids=ids, real=real, slots=slots, channels=channels,
+                                dropped=dropped, drop_mask=drop_mask)
 
 
 def dense_tensors(params: ModelParams) -> list:
@@ -305,7 +309,7 @@ def zero_gradients(params: ModelParams, n_rows: int) -> dict:
     """Gradient accumulators keyed like the parameters they mirror.
 
     The embedding gradients hold ``n_rows`` rows, one for each id that
-    ``batch_words`` gives for the batch, in that order.
+    ``channel_rows`` gives for the batch, in that order.
     """
     grads = {name: np.zeros_like(t) for name, t in dense_tensors(params)}
     keys = ("emb_p",) if params.ch2 is None else ("emb_p", "ch2")
@@ -315,10 +319,10 @@ def zero_gradients(params: ModelParams, n_rows: int) -> dict:
 
 
 def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
-             grads: dict, words: np.ndarray) -> None:
+             grads: dict) -> None:
     """Accumulate the gradients of a chunk's summed loss into ``grads``;
     ``d_logits`` is (documents, classes), and the embedding gradient rows
-    are those of the ascending ids ``words``, which hold the chunk's."""
+    are those of the ``words`` that ``forward`` was given."""
     config = params.config
     grads["softmax/W"] += cache.dropped.T @ d_logits
     grads["softmax/b"] += d_logits.sum(axis=0)
@@ -326,7 +330,6 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     if cache.drop_mask is not None:
         d_feat = d_feat * cache.drop_mask
 
-    rows = np.searchsorted(words, cache.ids[cache.real])
     f = config.filters_per_height
     pos = 0
     for grad_key, bank_key, per_height in cache.channels:
@@ -339,12 +342,7 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
             grads[f"{bank_key}/b/{h}"] += d_b
             dx_total = dx if dx_total is None else dx_total + dx
         dx_total = dx_total.reshape(cache.ids.shape + (-1,))
-        np.add.at(grads[grad_key], rows, dx_total[cache.real])
-
-
-def batch_words(docs) -> np.ndarray:
-    """The ascending distinct word ids of a batch of documents."""
-    return np.unique(np.concatenate(docs)).astype(np.int64, copy=False)
+        np.add.at(grads[grad_key], cache.slots, dx_total[cache.real])
 
 
 def batch_gradients(params: ModelParams, docs, labels,
@@ -361,16 +359,15 @@ def batch_gradients(params: ModelParams, docs, labels,
     if len(docs) != len(labels):
         raise ValueError("documents and labels disagree in length")
     labels = np.asarray(labels, dtype=np.int64)
-    words = batch_words(docs)
+    words, rows = channel_rows(params, docs)
     grads = zero_gradients(params, len(words))
     total_loss = 0.0
     for start, ids in padded_chunks(params, docs):
         chunk_labels = labels[start : start + len(ids)]
-        logits, cache = forward(ids, params, dropout_rng=dropout_rng)
+        logits, cache = forward(ids, params, words, rows, dropout_rng=dropout_rng)
         loss, probs = softmax_xent(logits, chunk_labels)
         total_loss += loss.sum()
-        backward(softmax_xent_backward(probs, chunk_labels), cache, params, grads,
-                 words)
+        backward(softmax_xent_backward(probs, chunk_labels), cache, params, grads)
     scale = 1.0 / len(docs)
     for grad in grads.values():
         grad *= scale
@@ -413,46 +410,35 @@ def apply_gradients(params: ModelParams, opt: Optimizer, grads: dict,
     moves, so a bad gradient raises ValueError and leaves the parameters,
     the accumulators and the step count as they were.
     """
-    # (state name, state shape, parameter, gradient, rows of the parameter,
-    # rows of the state); rows None: the whole tensor
-    emb_shape = params.emb_pretrained.shape
-    updates = [("emb_p", emb_shape, params.emb_pretrained, grads["emb_p"],
-                words, words)]
+    # (state name, parameter, gradient, rows of the parameter); rows None:
+    # the whole tensor
+    updates = [("emb_p", params.emb_pretrained, grads["emb_p"], words)]
     shared = params.ch2
     if shared is not None:
         groups, group_grad = aggregate_gradients(grads["ch2"], words, shared)
-        vectors = shared.groups.vectors
-        updates.append(("group_emb", vectors.shape, vectors, group_grad,
-                        groups, groups))
-        # the optimizer state numbers the private rows 0, 1, ...
+        updates.append(("group_emb", shared.groups.vectors, group_grad, groups))
         which, at = locate(shared.private_ids, words)
-        updates.append(("ch2_private", (shared.private_ids.size, emb_shape[1]),
-                        shared.values, grads["ch2"][which], words[which], at))
-    updates += [(name, param.shape, param, grads[name], None, None)
+        updates.append(("ch2_private", shared.private, grads["ch2"][which], at))
+    updates += [(name, param, grads[name], None)
                 for name, param in dense_tensors(params)]
 
-    for name, _, param, grad, rows, _ in updates:
+    for name, param, grad, rows in updates:
         shape = param.shape if rows is None else (len(rows),) + param.shape[1:]
         if np.shape(grad) != shape:
             raise ValueError(f"gradient shape does not match parameter {name}")
         if not np.isfinite(grad).all():
             raise ValueError(f"non-finite gradient for {name}")
-    for name, state_shape, param, grad, rows, state_rows in updates:
-        adadelta_update(param, grad, opt.state(name, state_shape), rho=opt.rho,
-                        eps=opt.eps, rows=rows, state_rows=state_rows)
+    for name, param, grad, rows in updates:
+        adadelta_update(param, grad, opt.state(name, param.shape), rho=opt.rho,
+                        eps=opt.eps, rows=rows)
 
 
 def train_step(params: ModelParams, opt: Optimizer, docs, labels) -> float:
-    """One mini-batch step: sync the batch's tied rows, compute gradients,
-    update.
+    """One mini-batch step: compute gradients, update.
 
-    Only the batch's grouped rows of the shared matrix are rebuilt, as
-    the step reads no other; ``predict`` and ``loss_on`` rebuild them all.
     The dropout stream is derived from (seed, step counter), so resuming
     from a checkpoint replays the identical sequence of masks.
     """
-    if params.is_shared:
-        sync_forward(params.ch2, batch_words(docs))
     rng = make_rng(params.config.seed, "dropout", params.step_count)
     loss, grads, words = batch_gradients(params, docs, labels, dropout_rng=rng)
     if not np.isfinite(loss):
@@ -464,11 +450,10 @@ def train_step(params: ModelParams, opt: Optimizer, docs, labels) -> float:
 
 def _eval_logits(params: ModelParams, docs):
     """Yield (start, logits) over the padded chunks of ``docs``, in
-    evaluation mode (no dropout) after a sync of every tied row."""
-    if params.is_shared:
-        sync_forward(params.ch2)
+    evaluation mode (no dropout)."""
+    words, rows = channel_rows(params, docs)
     for start, ids in padded_chunks(params, docs):
-        logits, _ = forward(ids, params)
+        logits, _ = forward(ids, params, words, rows)
         yield start, logits
 
 
@@ -481,13 +466,12 @@ def predict(params: ModelParams, docs):
     """
     probs = np.zeros((len(docs), params.config.num_classes), dtype=np.float64)
     for start, logits in _eval_logits(params, docs):
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs[start : start + len(logits)] = shifted / shifted.sum(axis=1, keepdims=True)
+        probs[start : start + len(logits)] = softmax(logits)[0]
     return probs.argmax(axis=1), probs
 
 
 def loss_on(params: ModelParams, docs, labels) -> float:
-    """Mean evaluation-mode loss (no dropout, tied rows synced)."""
+    """Mean evaluation-mode loss (no dropout)."""
     labels = np.asarray(labels, dtype=np.int64)
     total = 0.0
     for start, logits in _eval_logits(params, docs):
@@ -504,20 +488,26 @@ class CheckpointError(ValueError):
     pass
 
 
+def _parameters(params: ModelParams) -> list:
+    """(optimizer state name, checkpoint tensor name, tensor) of every
+    trained tensor, in checkpoint order."""
+    out = [("emb_p", "emb_p", params.emb_pretrained)]
+    if params.ch2 is not None:
+        out += [("group_emb", "group/vectors", params.ch2.groups.vectors),
+                ("ch2_private", "ch2/private_values", params.ch2.private)]
+    return out + [(name, name, t) for name, t in dense_tensors(params)]
+
+
 def _collect_tensors(params: ModelParams, opt: Optimizer):
-    tensors = [("emb_p", params.emb_pretrained)]
-    shared = params.ch2
-    if shared is not None:
-        members = shared.table.members
-        tensors += [
+    tensors = [(name, t) for _, name, t in _parameters(params)]
+    if params.ch2 is not None:
+        members = params.ch2.table.members
+        tensors[1:1] = [        # the group structure follows emb_p
             ("group/members_flat",
              np.array([w for ws in members for w in ws], dtype=np.int64)),
             ("group/offsets",
              np.cumsum([0] + [len(ws) for ws in members], dtype=np.int64)),
-            ("group/vectors", shared.groups.vectors),
-            ("ch2/private_values", shared.values[shared.private_ids]),
         ]
-    tensors += dense_tensors(params)
     for name in sorted(opt.states):
         st = opt.states[name]
         tensors.append((f"opt/{name}/sq_grad", st.sq_grad))
@@ -588,8 +578,6 @@ def _check_header(path, header) -> None:
                 and isinstance(entry[2], list)
                 and all(type(n) is int and n >= 0 for n in entry[2])):
             raise CheckpointError(f"{path}: malformed tensor entry {str(entry)[:80]}")
-    if len({entry[0] for entry in table}) != len(table):
-        raise CheckpointError(f"{path}: duplicate tensor names")
 
 
 def load_checkpoint(path):
@@ -695,17 +683,12 @@ def _restore(path, header: dict, tensors: dict):
         if table.group_count and mode != "group_init_share":
             raise CheckpointError(f"{path}: a {mode} channel has groups")
         spec = HashSpec(**header["hash_spec"])
-        # every row of ``values`` is written below, the private rows from
-        # the file and the grouped rows by sync(), so it need not be zeroed
         ch2 = SharedEmbedding(
-            values=np.empty((vocab.num_rows, dim)), table=table,
+            private=tensor("ch2/private_values", (None, dim)), table=table,
             groups=GroupEmbeddings(
                 vectors=tensor("group/vectors", (len(group_keys), dim))),
             spec=spec, routing=build_routing(table, dim, spec),
         )
-        ch2.values[ch2.private_ids] = tensor("ch2/private_values",
-                                             (len(ch2.private_ids), dim))
-        ch2.sync()
 
     params = ModelParams(
         config=config,
@@ -719,14 +702,15 @@ def _restore(path, header: dict, tensors: dict):
         step_count=step_count,
     )
     opt = Optimizer(rho=float(header["opt"]["rho"]), eps=float(header["opt"]["eps"]))
-    # optimizer states named apart from the tensor of the parameter they step
-    param_of = {"group_emb": "group/vectors", "ch2_private": "ch2/private_values"}
-    for tname in tensors:
-        if tname.startswith("opt/") and tname.endswith("/sq_grad"):
-            base = tname[len("opt/") : -len("/sq_grad")]
-            shape = tensors[param_of.get(base, base)].shape
-            opt.states[base] = AdadeltaState(
-                sq_grad=tensor(tname, shape),
-                sq_delta=tensor(f"opt/{base}/sq_delta", shape),
+    for state, _, param in _parameters(params):
+        # a step gives every parameter a state; a missing one raises KeyError
+        if step_count or f"opt/{state}/sq_grad" in tensors:
+            opt.states[state] = AdadeltaState(
+                sq_grad=tensor(f"opt/{state}/sq_grad", param.shape),
+                sq_delta=tensor(f"opt/{state}/sq_delta", param.shape),
             )
+    names = [name for name, _ in _collect_tensors(params, opt)]
+    if names != [entry[0] for entry in header["tensors"]]:
+        raise CheckpointError(f"{path}: tensors differ from the model's: "
+                              f"{sorted(set(names) ^ set(tensors))}")
     return params, opt

@@ -127,13 +127,22 @@ def maxpool1_backward(d_out: np.ndarray, idx: np.ndarray, length: int) -> np.nda
     return grad
 
 
+def softmax(logits: np.ndarray):
+    """Softmax over each row of ``logits``, each row's max subtracted first
+    so that large scores do not overflow. Returns (probabilities, shifted
+    logits, (batch, 1) sums of their exponentials)."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    return exp / total, shifted, total
+
+
 def softmax_xent(logits: np.ndarray, labels):
     """Cross-entropy of a softmax over each row of ``logits`` against its
     true label.
 
     logits: (batch, classes); labels: one class index per row. Returns
-    ((batch,) losses, (batch, classes) probabilities). Stabilized by
-    subtracting each row's max logit, so large scores do not overflow.
+    ((batch,) losses, (batch, classes) probabilities of ``softmax``).
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != logits.shape[:1]:
@@ -141,10 +150,7 @@ def softmax_xent(logits: np.ndarray, labels):
     classes = logits.shape[1]
     if ((labels < 0) | (labels >= classes)).any():
         raise ValueError(f"label outside [0, {classes})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True)
-    probs = exp / total
+    probs, shifted, total = softmax(logits)
     picked = np.take_along_axis(shifted, labels[:, None], axis=1)
     loss = (np.log(total) - picked)[:, 0]
     return loss, probs
@@ -189,8 +195,7 @@ class AdadeltaState:
 
 
 def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
-                    rho: float = 0.95, eps: float = 1e-6, rows=None,
-                    state_rows=None) -> None:
+                    rho: float = 0.95, eps: float = 1e-6, rows=None) -> None:
     """One in-place update step.
 
     Accumulate E[g^2], take the step scaled by the ratio of the two RMS
@@ -206,20 +211,17 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
     moves no parameter. So the formulas run on a gathered copy of the
     given rows, both accumulators decay in one in-place pass, and the
     rows are written back, which gives the dense step bit for bit.
-    ``state_rows`` numbers the same rows in ``state`` when its rows are
-    not those of ``param`` (default: ``rows``).
     """
     if rows is None:
         _adadelta_step(param, grad, state, rho, eps)
         return
-    at = rows if state_rows is None else state_rows
-    acc = AdadeltaState(sq_grad=state.sq_grad[at], sq_delta=state.sq_delta[at])
+    acc = AdadeltaState(sq_grad=state.sq_grad[rows], sq_delta=state.sq_delta[rows])
     moved = param[rows]
     _adadelta_step(moved, grad, acc, rho, eps)
     state.sq_grad *= rho
     state.sq_delta *= rho
-    state.sq_grad[at] = acc.sq_grad
-    state.sq_delta[at] = acc.sq_delta
+    state.sq_grad[rows] = acc.sq_grad
+    state.sq_delta[rows] = acc.sq_delta
     param[rows] = moved
 
 

@@ -12,7 +12,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from groupshare import model
-from groupshare.hashing import sync_forward
 from groupshare.nnet import dropout
 
 
@@ -120,8 +119,6 @@ def batch_gradients(params, docs, labels, dropout_rng=None):
 
 
 def _logits(params, docs):
-    if params.is_shared:
-        sync_forward(params.channel2)
     pad_to = params.config.max_height
     for doc in docs:
         yield forward(pad_document(doc, pad_to, params.vocab.pad_id), params)[0]

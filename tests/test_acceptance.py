@@ -222,7 +222,6 @@ def test_shared_training_matches_explicitly_tied_model():
         assert abs(loss_fast - loss_slow) <= 1e-10
     assert time.monotonic() - start < 10.0
 
-    params.channel2.sync()
     assert_allclose(params.channel2.groups.vectors, oracle.g, rtol=0, atol=1e-10)
     assert_allclose(params.channel2.values, oracle.materialize(), rtol=0, atol=1e-10)
     assert_allclose(params.emb_pretrained, oracle.emb_p, rtol=0, atol=1e-10)
@@ -320,7 +319,6 @@ def test_singleton_groups_degenerate_to_plain_model():
         loss_s = model.train_step(p_shared, opt_shared, docs, labels)
         loss_p = model.train_step(p_plain, opt_plain, docs, labels)
         assert abs(loss_s - loss_p) <= 1e-10
-    p_shared.channel2.sync()
     assert_allclose(p_shared.channel2.values, p_plain.channel2, rtol=0, atol=1e-10)
     assert_allclose(p_shared.emb_pretrained, p_plain.emb_pretrained,
                     rtol=0, atol=1e-10)
@@ -586,8 +584,6 @@ def test_checkpoint_replay_matches_uninterrupted_training(tmp_path):
 
     for a, b in zip(straight, resumed):
         assert abs(a - b) <= 1e-12
-    params.channel2.sync()
-    resumed_params.channel2.sync()
     assert_allclose(resumed_params.channel2.groups.vectors,
                     params.channel2.groups.vectors, rtol=0, atol=1e-12)
     assert_allclose(resumed_params.channel2.values, params.channel2.values,

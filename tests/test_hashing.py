@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshare.groups import groups_from_tsv, init_group_embeddings
+from groupshare.groups import GroupTable, groups_from_tsv, init_group_embeddings
 from groupshare.hashing import (
     HashSpec,
     MIXER_VERSION,
+    SharedEmbedding,
     aggregate_gradients,
     build_routing,
     hash_dim,
     init_shared,
     sign,
     sync_forward,
+    unshared,
 )
 from helpers import random_group_tsv, random_words, vocab_of
 
@@ -168,14 +170,14 @@ def test_sync_refreshes_grouped_rows_only():
                          pretrained, HashSpec(seed=2))
     before_private = shared.values[shared.private_ids].copy()
     shared.groups.vectors += 1.5
-    sync_forward(shared)
-    np.testing.assert_array_equal(shared.values[shared.private_ids], before_private)
+    values = sync_forward(shared)
+    np.testing.assert_array_equal(values[shared.private_ids], before_private)
     grouped = shared.routing.grouped_ids
     for row, w in enumerate(grouped):
         for j in range(dim):
             g = shared.routing.flat[row, j] // dim
             s = shared.routing.signs[row, j]
-            assert shared.values[w, j] == shared.groups.vectors[g, j] * s
+            assert values[w, j] == shared.groups.vectors[g, j] * s
 
 
 def test_degenerate_singletons_without_signing_reproduce_pretrained():
@@ -279,31 +281,80 @@ def test_sync_of_some_words_matches_full_sync_on_their_rows(seed, dim, word_shar
                                                            signing):
     rng, shared = _random_shared(seed, dim, signing)
     shared.groups.vectors[...] = rng.normal(0, 1, size=shared.groups.vectors.shape)
-    before = shared.values.copy()
-    shared.sync()
-    full = shared.values.copy()
-    shared.values[...] = before
-    words = np.flatnonzero(rng.random(before.shape[0]) < word_share)
-    sync_forward(shared, words)
-    grouped = np.isin(words, shared.routing.grouped_ids)
-    synced = words[grouped]
-    assert shared.values[synced].tobytes() == full[synced].tobytes()
-    others = np.setdiff1d(np.arange(before.shape[0]), synced)
-    assert shared.values[others].tobytes() == before[others].tobytes()
+    full = sync_forward(shared)
+    assert full.shape == (shared.table.vocab_size, dim)
+    words = np.flatnonzero(rng.random(full.shape[0]) < word_share)
+    assert sync_forward(shared, words).tobytes() == full[words].tobytes()
+
+
+def _loop_rows(shared, words):
+    """Scalar loops over words and coordinates: the oracle of the gather."""
+    table, spec = shared.table, shared.spec
+    private = {int(w): row for row, w in enumerate(shared.private_ids)}
+    out = np.zeros((len(words), shared.dim))
+    for i, w in enumerate(words):
+        gids = table.groups_of(int(w))
+        if not gids:
+            out[i] = shared.private[private[int(w)]]
+        for j in range(shared.dim if gids else 0):
+            pick = gids[hash_dim(int(w), j, len(gids), spec)]
+            out[i, j] = shared.groups.vectors[pick, j] * sign(int(w), j, spec)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9),
+       word_share=st.floats(0.0, 1.0), signing=st.booleans(),
+       empty=st.booleans(), with_unk=st.booleans())
+def test_gather_matches_loop_oracle_and_whole_matrix(seed, dim, word_share,
+                                                     signing, empty, with_unk):
+    # ascending words that mix grouped, private and UNK ids, over a table
+    # with groups or over an empty one
+    rng = np.random.default_rng(seed)
+    vocab, table = _random_table(rng)
+    if empty:
+        table = GroupTable(vocab.num_rows, [], [])
+    pretrained = rng.normal(0, 1, size=(vocab.num_rows, dim))
+    spec = HashSpec(seed=seed % 1000, signing_enabled=signing)
+    groups = init_group_embeddings(table, pretrained)
+    groups.vectors[...] = rng.normal(0, 1, size=groups.vectors.shape)
+    shared = init_shared(table, groups, pretrained, spec)
+    pick = rng.random(vocab.num_rows) < word_share
+    pick[vocab.unk_id] = with_unk
+    words = np.flatnonzero(pick)
+    got = sync_forward(shared, words)
+    assert got.tobytes() == _loop_rows(shared, words).tobytes()
+    assert got.tobytes() == shared.values[words].tobytes()
+
+
+def test_private_rows_must_match_the_routing():
+    rng = np.random.default_rng(6)
+    vocab, table = _random_table(rng)
+    pretrained = rng.normal(0, 1, size=(vocab.num_rows, 3))
+    shared = init_shared(table, init_group_embeddings(table, pretrained),
+                         pretrained, HashSpec(seed=0))
+    assert shared.private.shape == (shared.private_ids.size, 3)
+    for bad in (shared.private[:-1], shared.private[:, :2]):
+        with pytest.raises(ValueError, match="private rows"):
+            SharedEmbedding(private=bad, table=table, groups=shared.groups,
+                            spec=shared.spec, routing=shared.routing)
+    free = unshared(pretrained, HashSpec(seed=0))
+    assert free.private is pretrained
+    np.testing.assert_array_equal(free.private_ids, np.arange(vocab.num_rows))
+    assert free.groups.vectors.shape == (0, 3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9),
        signing=st.booleans())
 def test_aggregate_is_the_adjoint_of_sync(seed, dim, signing):
-    # <sync(g), E> over the grouped rows equals <g, aggregate(E)>
+    # <gather(g), E> over the grouped rows equals <g, aggregate(E)>
     rng, shared = _random_shared(seed, dim, signing)
     g = rng.normal(0, 1, size=shared.groups.vectors.shape)
-    e = rng.normal(0, 1, size=shared.values.shape)
+    e = rng.normal(0, 1, size=(shared.table.vocab_size, dim))
     shared.groups.vectors[...] = g
-    shared.sync()
     rows = shared.routing.grouped_ids
-    terms = shared.values[rows] * e[rows]
+    terms = sync_forward(shared, rows) * e[rows]
     lhs = terms.sum()
     rhs = (g * _aggregate_all(e, shared)).sum()
     assert abs(lhs - rhs) <= 1e-12 * np.abs(terms).sum()

@@ -57,6 +57,12 @@ def tiny_setup(seed=0, n_words=14, dim=5, mode="group_init_share",
     return params, docs, labels, vocab, pretrained, table
 
 
+def forward_alone(ids, params):
+    """``forward`` on one chunk, given the rows of every id in it, PAD's
+    rows among them."""
+    return forward(ids, params, *model_module.channel_rows(params, [np.ravel(ids)]))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(num_classes=1, embedding_dim=4)
@@ -125,8 +131,8 @@ def test_init_is_deterministic_per_seed():
 def test_forward_requires_padded_input():
     params, *_ = tiny_setup()
     with pytest.raises(ValueError, match="pad"):
-        forward(np.array([[0, 1]]), params)  # max height is 3
-    logits, _ = forward(np.array([[0, 1, 2]]), params)
+        forward_alone(np.array([[0, 1]]), params)  # max height is 3
+    logits, _ = forward_alone(np.array([[0, 1, 2]]), params)
     assert logits.shape == (1, 2)
 
 
@@ -136,18 +142,18 @@ def test_forward_invariant_to_extra_padding():
     for doc in docs:
         a = pad_chunk([doc], params.config.max_height, pad)
         b = pad_chunk([doc], params.config.max_height + 4, pad)
-        la, _ = forward(a, params)
-        lb, _ = forward(b, params)
+        la, _ = forward_alone(a, params)
+        lb, _ = forward_alone(b, params)
         np.testing.assert_array_equal(la, lb)
 
 
 def test_forward_ignores_pad_row_contents():
     params, docs, _, vocab, _, _ = tiny_setup(seed=8)
     doc = pad_chunk([docs[0][:2]], params.config.max_height, vocab.pad_id)
-    before, _ = forward(doc, params)
+    before, _ = forward_alone(doc, params)
     params.emb_pretrained[vocab.pad_id] = 1e6
-    params.channel2.values[vocab.pad_id] = -1e6
-    after, _ = forward(doc, params)
+    params.ch2.private[np.searchsorted(params.ch2.private_ids, vocab.pad_id)] = -1e6
+    after, _ = forward_alone(doc, params)
     np.testing.assert_array_equal(before, after)
 
 
@@ -184,7 +190,7 @@ def test_gradients_pass_finite_difference_spot_checks():
     eps = 1e-6
     targets = [
         ("emb_p", params.emb_pretrained),
-        ("ch2", params.channel2),
+        ("ch2", params.ch2.private),     # every row of a free channel is private
         ("bank_p/W/2", params.bank_p.weights[2]),
         ("bank_s/b/3", params.bank_s.biases[3]),
         ("softmax/W", params.softmax_w),
@@ -245,7 +251,6 @@ def test_singleton_groups_without_signing_train_like_plain_matrix():
     share_losses, share_params = results["group_init_share"]
     plain_losses, plain_params = results["group_init_no_share"]
     np.testing.assert_allclose(share_losses, plain_losses, rtol=0, atol=1e-12)
-    share_params.channel2.sync()
     np.testing.assert_allclose(
         share_params.channel2.values, plain_params.channel2, rtol=0, atol=1e-12
     )
@@ -310,9 +315,6 @@ def test_checkpoint_round_trip_all_modes(mode, tmp_path):
         assert loaded.channel2.table.members == params.channel2.table.members
         assert loaded.channel2.table.group_keys == params.channel2.table.group_keys
         assert loaded.channel2.spec == params.channel2.spec
-        # grouped rows of `values` are derived: sync both before comparing
-        params.channel2.sync()
-        loaded.channel2.sync()
         np.testing.assert_array_equal(loaded.channel2.values, params.channel2.values)
     else:
         np.testing.assert_array_equal(loaded.channel2, params.channel2)
@@ -320,6 +322,11 @@ def test_checkpoint_round_trip_all_modes(mode, tmp_path):
     for name, st in opt.states.items():
         np.testing.assert_array_equal(opt2.states[name].sq_grad, st.sq_grad)
         np.testing.assert_array_equal(opt2.states[name].sq_delta, st.sq_delta)
+    # every stored tensor, and the whole second-channel matrix, to the bit
+    saved, restored = _state_bytes(params, opt), _state_bytes(loaded, opt2)
+    assert list(saved) == list(restored)
+    for name in saved:
+        assert saved[name] == restored[name], name
 
 
 def test_checkpoint_resume_replays_exactly(tmp_path):
@@ -393,8 +400,11 @@ def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
 
 
 def _state_bytes(params, opt):
-    """Every stored parameter and accumulator, and the step count."""
+    """Every stored parameter and accumulator, the whole second-channel
+    matrix, and the step count."""
     out = {name: arr.tobytes() for name, arr in model_module._collect_tensors(params, opt)}
+    if params.ch2 is not None:
+        out["ch2/values"] = params.ch2.values.tobytes()
     out["step_count"] = params.step_count
     return out
 
@@ -435,50 +445,6 @@ def test_bad_gradient_leaves_no_half_applied_step(mode, monkeypatch):
     with pytest.raises(ValueError, match="non-finite"):
         apply_gradients(params, opt, grads, words)
     assert _state_bytes(params, opt) == before
-
-
-def test_predict_after_training_leaves_every_tied_row_current(tmp_path):
-    """A training step rebuilds only its batch's tied rows; ``predict``
-    must leave every grouped row equal to +-its routed group coordinate,
-    and a checkpoint must reload to the same bytes."""
-    from groupshare.hashing import hash_dim, sign
-
-    params, docs, labels, *_ = tiny_setup(seed=23, n_words=30, mode="group_init_share",
-                                          dropout=0.5)
-    opt = Optimizer()
-    for step in range(6):
-        batch = slice(3 * (step % 4), 3 * (step % 4) + 3)
-        train_step(params, opt, docs[batch], labels[batch])
-    shared = params.channel2
-    synced = shared.values.copy()
-    shared.sync()
-    stale = (synced != shared.values).any()
-    shared.values[...] = synced
-    assert stale, "training left no tied row stale; the test shows nothing"
-
-    predict(params, docs)
-    table, spec = shared.table, shared.spec
-    for w in table.grouped_word_ids():
-        gids = table.groups_of(w)
-        for j in range(shared.dim):
-            g = gids[hash_dim(w, j, len(gids), spec)]
-            assert shared.values[w, j] == shared.groups.vectors[g, j] * sign(w, j, spec)
-
-    def tensors(params, opt):
-        out = {"ch2/values": params.channel2.values,
-               "group/vectors": params.channel2.groups.vectors}
-        out.update(model_module._collect_tensors(params, opt))
-        return out
-
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, params, opt)
-    loaded = load_checkpoint(path)
-    a, b = tensors(params, opt), tensors(*loaded)
-    assert sorted(a) == sorted(b)
-    for name in a:
-        assert a[name].dtype == b[name].dtype and a[name].shape == b[name].shape
-        assert a[name].tobytes() == b[name].tobytes(), name
-    assert loaded[0].step_count == params.step_count
 
 
 def test_single_channel_checkpoint_has_no_second_channel_tensors(tmp_path):
@@ -590,6 +556,44 @@ def test_malformed_headers_raise_checkpoint_error(tmp_path, header, message):
         load_checkpoint(path)
     path.write_bytes(_join(b"\xff\xfe{}", b""))
     with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def _tensor_spans(header):
+    """{name: (start, end)} of each tensor's bytes in the payload."""
+    spans, pos = {}, 0
+    for name, dtype, shape in header["tensors"]:
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        spans[name] = (pos, pos + size)
+        pos += size
+    return spans
+
+
+def test_checkpoint_with_an_extra_tensor_is_rejected(tmp_path):
+    header, payload = _split(_checkpoint_bytes("group_init_share"))
+    header["tensors"].append(["junk/extra", "float64", [2]])
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_join(json.dumps(header).encode("utf-8"),
+                           payload + np.zeros(2).tobytes()))
+    with pytest.raises(CheckpointError, match="junk/extra"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("state", ["emb_p", "group_emb", "ch2_private", "softmax/b"])
+def test_checkpoint_after_a_step_without_some_optimizer_state_is_rejected(
+        state, tmp_path):
+    # resuming would restart that state from zero and break replay
+    header, payload = _split(_checkpoint_bytes("group_init_share"))
+    assert header["step_count"] >= 1
+    spans = _tensor_spans(header)
+    dropped = {f"opt/{state}/sq_grad", f"opt/{state}/sq_delta"}
+    assert dropped <= set(spans)
+    header["tensors"] = [t for t in header["tensors"] if t[0] not in dropped]
+    kept = b"".join(payload[a:b] for name, (a, b) in spans.items()
+                    if name not in dropped)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_join(json.dumps(header).encode("utf-8"), kept))
+    with pytest.raises(CheckpointError, match=f"opt/{state}/sq_grad"):
         load_checkpoint(path)
 
 

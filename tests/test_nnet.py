@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupshare.hashing import locate
 from groupshare.model import ModelConfig, init_params
 from groupshare.nnet import (
     AdadeltaState,
@@ -273,23 +274,25 @@ def test_row_sparse_adadelta_matches_dense_bytes(seed, shape, live, steps, rho, 
     live=st.sampled_from(["some", "all", "none"]),
     steps=st.integers(1, 3),
 )
-def test_adadelta_state_rows_match_gathered_dense_step(seed, n, dim, live, steps):
-    # the state covers a subset of the parameter's rows (``ids``), numbered
-    # apart: the dense reference gathers that subset, steps it and writes
-    # it back
+def test_adadelta_on_located_private_rows_matches_gathered_dense_step(
+        seed, n, dim, live, steps):
+    # the private rows ``ids`` of an (n + 3)-row vocabulary live in a
+    # matrix of their own; a step's gradient rows are those of ascending
+    # ``words``, and the update steps the private matrix at the rows that
+    # ``locate`` gives for them. The dense reference gathers the private
+    # rows of the vocabulary-sized gradient and steps every private row.
     rng = np.random.default_rng(seed)
-    param = rng.normal(0, 1, size=(n + 3, dim))
     ids = np.sort(rng.choice(n + 3, size=n, replace=False))
+    private = rng.normal(0, 1, size=(n, dim))
     state = AdadeltaState.zeros((n, dim))
-    ref_param, ref_state = param.copy(), AdadeltaState.zeros((n, dim))
+    ref_private, ref_state = private.copy(), AdadeltaState.zeros((n, dim))
     for _ in range(steps):
-        at = step_rows(rng, n, live)
-        grad_rows, grad = row_gradient(rng, at, (n, dim))
-        adadelta_update(param, grad_rows, state, rows=ids[at], state_rows=at)
-        gathered = ref_param[ids]
-        dense_adadelta(gathered, grad, ref_state, 0.95, 1e-6)
-        ref_param[ids] = gathered
-        assert param.tobytes() == ref_param.tobytes()
+        words = step_rows(rng, n + 3, live)
+        grad_rows, grad = row_gradient(rng, words, (n + 3, dim))
+        which, at = locate(ids, words)
+        adadelta_update(private, grad_rows[which], state, rows=at)
+        dense_adadelta(ref_private, grad[ids], ref_state, 0.95, 1e-6)
+        assert private.tobytes() == ref_private.tobytes()
         assert state.sq_grad.tobytes() == ref_state.sq_grad.tobytes()
         assert state.sq_delta.tobytes() == ref_state.sq_delta.tobytes()
 

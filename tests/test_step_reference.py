@@ -1,12 +1,13 @@
 """The training step against a dense reference step written out here.
 
 ``model.train_step`` pays for the embedding rows a batch touches: it
-rebuilds only the batch's tied rows, its embedding gradients hold only
-the batch's rows, ``aggregate_gradients`` folds only those words onto
-the groups they route to, and Adadelta runs its formulas on those rows
-alone. The reference below takes its gradients from
-``model.batch_gradients``, scatters them into vocabulary-sized matrices
-and does the dense work on every row; both must agree to the last bit.
+reads only the batch's rows through the group routing, its embedding
+gradients hold only those rows, ``aggregate_gradients`` folds only those
+words onto the groups they route to, and Adadelta runs its formulas on
+those rows alone. The reference below builds the whole second-channel
+matrix, takes its gradients from ``model.batch_gradients``, scatters
+them into vocabulary-sized matrices and does the dense work on every
+row; both must agree to the last bit.
 The forward and backward pass behind the gradients is held to the
 per-document reference in ``test_batched_reference.py``.
 """
@@ -32,11 +33,15 @@ def dense_adadelta(param, grad, state, rho, eps):
     param += delta
 
 
-def dense_sync(shared):
+def dense_matrix(shared):
+    """The whole second-channel matrix: the private rows, and every
+    grouped coordinate read from its group row."""
     r = shared.routing
+    out = np.zeros((shared.table.vocab_size, shared.dim))
+    out[shared.private_ids] = shared.private
     dims = np.arange(shared.dim)[None, :]
-    group_rows = r.flat // shared.dim
-    shared.values[r.grouped_ids] = shared.groups.vectors[group_rows, dims] * r.signs
+    out[r.grouped_ids] = shared.groups.vectors[r.flat // shared.dim, dims] * r.signs
+    return out
 
 
 def dense_aggregate(grad, shared):
@@ -49,8 +54,6 @@ def dense_aggregate(grad, shared):
 
 def dense_train_step(params, opt, docs, labels):
     shared = params.ch2
-    if shared is not None:
-        dense_sync(shared)
     config = params.config
     rng = make_rng(config.seed, "dropout", params.step_count)
     loss, grads, words = model.batch_gradients(params, docs, labels, dropout_rng=rng)
@@ -58,6 +61,10 @@ def dense_train_step(params, opt, docs, labels):
     # is +0.0 in the dense matrices
     np.testing.assert_array_equal(words, np.unique(np.concatenate(docs)))
     grads = dense_gradients(params, grads, words)
+    if shared is not None:
+        # the step read the dense matrix's rows of its words
+        assert model.sync_forward(shared, words).tobytes() == \
+            dense_matrix(shared)[words].tobytes()
 
     def step(name, param, grad):
         dense_adadelta(param, grad, opt.state(name, param.shape), opt.rho, opt.eps)
@@ -65,9 +72,7 @@ def dense_train_step(params, opt, docs, labels):
     step("emb_p", params.emb_pretrained, grads["emb_p"])
     if shared is not None:
         step("group_emb", shared.groups.vectors, dense_aggregate(grads["ch2"], shared))
-        private = shared.values[shared.private_ids]
-        step("ch2_private", private, grads["ch2"][shared.private_ids])
-        shared.values[shared.private_ids] = private
+        step("ch2_private", shared.private, grads["ch2"][shared.private_ids])
     for bank_key, bank in (("bank_p", params.bank_p), ("bank_s", params.bank_s)):
         if bank is not None:
             for h in config.filter_heights:
@@ -103,11 +108,9 @@ def setup(mode):
 
 
 def state_bytes(params, opt):
-    if params.ch2 is not None:
-        dense_sync(params.ch2)
     out = {name: arr.tobytes() for name, arr in model._collect_tensors(params, opt)}
     if params.ch2 is not None:
-        out["ch2/values"] = params.ch2.values.tobytes()
+        out["ch2/values"] = dense_matrix(params.ch2).tobytes()
     out["step_count"] = params.step_count
     return out
 
