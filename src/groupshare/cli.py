@@ -13,6 +13,7 @@ reason to stderr.
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .config import (
 )
 from .corpus import load_dataset, load_vocabulary, save_vocabulary
 from .evaluation import run_experiment, train_model
-from .groups import GROUP_KINDS, load_groups, write_groups_tsv
+from .files import write_whole
+from .groups import GROUP_KINDS, MESH_PREFIX_DEPTH, load_groups, write_groups_tsv
 from .model import load_checkpoint, predict, save_checkpoint
 
 
@@ -37,10 +39,7 @@ def _cmd_build_vocab(args) -> int:
 
 def _cmd_build_groups(args) -> int:
     vocab = load_vocabulary(args.vocab)
-    kwargs = {}
-    if args.kind == "mesh":
-        kwargs["prefix_depth"] = args.prefix_depth
-    table = load_groups(args.input, args.kind, vocab, **kwargs)
+    table = load_groups(args.input, args.kind, vocab, args.prefix_depth)
     write_groups_tsv(table, vocab, args.out)
     grouped = len(table.membership)
     coverage = 100.0 * grouped / vocab.num_tokens
@@ -49,10 +48,7 @@ def _cmd_build_groups(args) -> int:
     print(f"coverage={coverage:.1f}%")
     print(f"oov_skipped={table.oov_skipped}")
     print(f"multiword_skipped={table.multiword_skipped}")
-    hist = {}
-    for w in table.membership:
-        k = len(table.membership[w])
-        hist[k] = hist.get(k, 0) + 1
+    hist = Counter(len(gids) for gids in table.membership.values())
     for k in sorted(hist):
         print(f"words_in_{k}_groups={hist[k]}")
     return 0
@@ -86,7 +82,7 @@ def _cmd_evaluate(args) -> int:
     text = report.render()
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with write_whole(args.out) as f:
             f.write(text)
     return 0
 
@@ -119,7 +115,7 @@ def _cmd_predict(args) -> int:
         scores = probs[:, 1]
     else:
         scores = probs.max(axis=1)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with write_whole(args.out) as f:
         for label, score in zip(labels, scores):
             f.write(f"{int(label)}\t{score:.6f}\n")
     print(f"predicted={len(docs)}")
@@ -169,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--prefix-depth", type=int, default=3, dest="prefix_depth")
+    p.add_argument("--prefix-depth", type=int, default=MESH_PREFIX_DEPTH)
     p.set_defaults(func=_cmd_build_groups)
 
     p = sub.add_parser("train", help="train on the full dataset")

@@ -2,9 +2,9 @@
 
 INI syntax with five sections, [data], [model], [train], [eval] and
 [run], whose keys _SECTIONS lists. Every key is a RunConfig field and
-has its default; unknown sections or keys are rejected outright so typos
-cannot silently fall back to defaults. dump_config writes every key back
-out, and parsing a dump reproduces the original object.
+has its default, the default of the setting it feeds; unknown sections
+or keys are rejected outright so typos cannot silently fall back to
+defaults.
 """
 
 import configparser
@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 from .corpus import load_dataset, load_pretrained, random_pretrained
 from .evaluation import ExperimentConfig
-from .groups import GROUP_KINDS, load_groups
+from .groups import GROUP_KINDS, MESH_PREFIX_DEPTH, load_groups
 from .model import GROUPED_MODES, ModelConfig, Optimizer
 from .seeding import derive_seed
 
@@ -25,22 +25,22 @@ class RunConfig:
     embedding_dim: int = 0
     groups: str = ""
     groups_kind: str = "tsv"
-    mesh_prefix_depth: int = 3
-    filter_heights: tuple = (3, 4, 5)
-    filters_per_height: int = 100
-    dropout: float = 0.5
-    channel2_mode: str = "group_init_share"
-    signing: bool = True
-    epochs: int = 20
-    batch_size: int = 50
-    rho: float = 0.95
-    eps: float = 1e-6
-    downsampling: bool = False
-    folds: int = 10
-    replications: int = 5
-    metric: str = "accuracy"
-    stratified: bool = True
-    seed: int = 1
+    mesh_prefix_depth: int = MESH_PREFIX_DEPTH
+    filter_heights: tuple = ModelConfig.filter_heights
+    filters_per_height: int = ModelConfig.filters_per_height
+    dropout: float = ModelConfig.dropout_rate
+    channel2_mode: str = ModelConfig.channel2_mode
+    signing: bool = ModelConfig.signing_enabled
+    epochs: int = ExperimentConfig.epochs
+    batch_size: int = ExperimentConfig.batch_size
+    rho: float = ExperimentConfig.rho
+    eps: float = ExperimentConfig.eps
+    downsampling: bool = ExperimentConfig.downsampling
+    folds: int = ExperimentConfig.folds
+    replications: int = ExperimentConfig.replications
+    metric: str = ExperimentConfig.metric
+    stratified: bool = ExperimentConfig.stratified
+    seed: int = ExperimentConfig.seed
 
 
 # section -> its keys, each a RunConfig field whose type is the key's kind
@@ -88,14 +88,6 @@ def _convert(kind: type, raw: str, where: str):
     if not heights:
         raise ValueError(f"{where}: needs at least one filter height")
     return heights
-
-
-def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(h) for h in value)
-    return str(value)
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -150,18 +142,6 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
         return parse_config(f.read())
-
-
-def dump_config(cfg: RunConfig) -> str:
-    """Echo every key; parse_config(dump_config(cfg)) == cfg."""
-    lines = []
-    for section, keys in _SECTIONS.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            rendered = _render(getattr(cfg, key))
-            lines.append(f"{key} = {rendered}".rstrip())
-        lines.append("")
-    return "\n".join(lines)
 
 
 def model_config(run: RunConfig, num_classes: int, embedding_dim: int) -> ModelConfig:
@@ -231,8 +211,6 @@ def load_run_inputs(run: RunConfig):
             raise ValueError(
                 f"channel2_mode={run.channel2_mode} needs a [data] groups path"
             )
-        kwargs = {}
-        if run.groups_kind == "mesh":
-            kwargs["prefix_depth"] = run.mesh_prefix_depth
-        group_table = load_groups(run.groups, run.groups_kind, vocab, **kwargs)
+        group_table = load_groups(run.groups, run.groups_kind, vocab,
+                                  run.mesh_prefix_depth)
     return dataset, vocab, pretrained, group_table

@@ -20,6 +20,8 @@ import hashlib
 
 import numpy as np
 
+from .files import write_whole
+
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
 _RESERVED = (UNK_TOKEN, PAD_TOKEN)
@@ -207,17 +209,23 @@ def random_pretrained(vocab: Vocabulary, dim: int, seed: int = 0) -> np.ndarray:
     return matrix
 
 
+def _parse_header(line, format: str):
+    """(V, d) from the "V d" header line, str or bytes, of a ``format`` file."""
+    fields = line.split()
+    if len(fields) != 2:
+        raise ValueError(f"embedding {format} header must be 'V d'")
+    try:
+        count, dim = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ValueError(f"embedding {format} header must be two integers") from None
+    if dim <= 0:
+        raise ValueError("embedding dimension must be positive")
+    return count, dim
+
+
 def _read_text_embeddings(path):
     with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise ValueError("embedding text header must be 'V d'")
-        try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise ValueError("embedding text header must be two integers") from None
-        if dim <= 0:
-            raise ValueError("embedding dimension must be positive")
+        count, dim = _parse_header(f.readline(), "text")
         entries = []
         for lineno, line in enumerate(f, start=2):
             line = line.rstrip("\n")
@@ -249,15 +257,7 @@ def _read_binary_embeddings(path):
     nl = blob.find(b"\n")
     if nl < 0:
         raise ValueError("binary embedding file has no header line")
-    header = blob[:nl].split()
-    if len(header) != 2:
-        raise ValueError("embedding binary header must be 'V d'")
-    try:
-        count, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError("embedding binary header must be two integers") from None
-    if dim <= 0:
-        raise ValueError("embedding dimension must be positive")
+    count, dim = _parse_header(blob[:nl], "binary")
     pos = nl + 1
     entries = []
     for _ in range(count):
@@ -282,8 +282,9 @@ def _read_binary_embeddings(path):
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    """One token per line, in id order. Reserved rows are implicit."""
-    with open(path, "w", encoding="utf-8") as f:
+    """One token per line, in id order. Reserved rows are implicit. An
+    existing file at ``path`` is replaced whole."""
+    with write_whole(path) as f:
         for w in vocab.words:
             f.write(w)
             f.write("\n")

@@ -115,9 +115,9 @@ class ExperimentConfig:
     stratified: bool = True
     downsampling: bool = False
     metric: str = "accuracy"
-    rho: float = 0.95
-    eps: float = 1e-6
-    seed: int = 1
+    rho: float = Optimizer.rho
+    eps: float = Optimizer.eps
+    seed: int = ModelConfig.seed
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Vocabulary
+from .files import write_whole
 
 
 @dataclass
@@ -161,7 +162,11 @@ def mesh_prefix(tree_number: str, depth: int) -> str:
     return ".".join(parts[:depth])
 
 
-def groups_from_mesh(lines, vocab: Vocabulary, prefix_depth: int = 3) -> GroupTable:
+MESH_PREFIX_DEPTH = 3     # dot-separated parts of a tree number that name its group
+
+
+def groups_from_mesh(lines, vocab: Vocabulary,
+                     prefix_depth: int = MESH_PREFIX_DEPTH) -> GroupTable:
     """Tree-coded concepts: "tree_number<TAB>word", grouped by prefix."""
     if prefix_depth < 1:
         raise ValueError("prefix_depth must be at least 1")
@@ -226,15 +231,17 @@ _LOADERS = {
 GROUP_KINDS = tuple(_LOADERS)
 
 
-def load_groups(path, kind: str, vocab: Vocabulary, **kwargs) -> GroupTable:
+def load_groups(path, kind: str, vocab: Vocabulary,
+                prefix_depth: int = MESH_PREFIX_DEPTH) -> GroupTable:
     """Dispatch on resource kind; see the per-format functions."""
     loader = _LOADERS.get(kind)
     if loader is None:
         raise ValueError(
             f"unknown groups kind {kind!r}; expected one of {sorted(_LOADERS)}"
         )
+    extra = (prefix_depth,) if kind == "mesh" else ()
     with open(path, "r", encoding="utf-8") as f:
-        return loader(f, vocab, **kwargs)
+        return loader(f, vocab, *extra)
 
 
 def write_groups_tsv(table: GroupTable, vocab: Vocabulary, path) -> None:
@@ -242,9 +249,9 @@ def write_groups_tsv(table: GroupTable, vocab: Vocabulary, path) -> None:
 
     Lines come out in group-id order with ascending members, so loading
     the file again rebuilds an identical table and a second dump is
-    byte-identical.
+    byte-identical. An existing file at ``path`` is replaced whole.
     """
-    with open(path, "w", encoding="utf-8") as f:
+    with write_whole(path) as f:
         for gid, ws in enumerate(table.members):
             key = table.group_keys[gid]
             for w in ws:

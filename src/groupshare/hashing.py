@@ -52,12 +52,12 @@ class HashSpec:
 
 
 def _fmix64(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        x = x ^ (x >> _SHIFT)
-        x = x * _M1
-        x = x ^ (x >> _SHIFT)
-        x = x * _M2
-        x = x ^ (x >> _SHIFT)
+    """One avalanche round; its caller ignores the multiplies' overflow."""
+    x = x ^ (x >> _SHIFT)
+    x = x * _M1
+    x = x ^ (x >> _SHIFT)
+    x = x * _M2
+    x = x ^ (x >> _SHIFT)
     return x
 
 
@@ -147,8 +147,7 @@ def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
     # the hash picks among the groups of the other words only
     flat = np.repeat(padded[:, :1], dim, axis=1)
     multi = np.flatnonzero(counts > 1)
-    h = _mix(np.uint64(spec.seed), grouped[multi, None], dims[None, :])
-    bucket = (h % counts[multi].astype(np.uint64)[:, None]).astype(np.int64)
+    bucket = hash_dim(grouped[multi, None], dims[None, :], counts[multi, None], spec)
     flat[multi] = np.take_along_axis(padded[multi], bucket, axis=1)
     flat += dims
     signs = _signs(grouped[:, None], dims[None, :], spec)

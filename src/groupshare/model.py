@@ -23,12 +23,12 @@ import json
 import math
 import os
 import struct
-import uuid
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .corpus import Vocabulary, random_pretrained
+from .files import write_whole
 from .groups import GroupEmbeddings, GroupTable, init_group_embeddings
 from .hashing import (
     HashSpec,
@@ -41,6 +41,8 @@ from .hashing import (
     unshared,
 )
 from .nnet import (
+    EPS,
+    RHO,
     AdadeltaState,
     FilterBank,
     adadelta_update,
@@ -378,8 +380,8 @@ def batch_gradients(params: ModelParams, docs, labels,
 class Optimizer:
     """Named Adadelta accumulators, one per parameter tensor."""
 
-    rho: float = 0.95
-    eps: float = 1e-6
+    rho: float = RHO
+    eps: float = EPS
     states: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -410,8 +412,8 @@ def apply_gradients(params: ModelParams, opt: Optimizer, grads: dict,
     moves, so a bad gradient raises ValueError and leaves the parameters,
     the accumulators and the step count as they were.
     """
-    # (state name, parameter, gradient, rows of the parameter); rows None:
-    # the whole tensor
+    # (state name, parameter, gradient, rows of the parameter); rows
+    # slice(None): the whole tensor
     updates = [("emb_p", params.emb_pretrained, grads["emb_p"], words)]
     shared = params.ch2
     if shared is not None:
@@ -419,11 +421,11 @@ def apply_gradients(params: ModelParams, opt: Optimizer, grads: dict,
         updates.append(("group_emb", shared.groups.vectors, group_grad, groups))
         which, at = locate(shared.private_ids, words)
         updates.append(("ch2_private", shared.private, grads["ch2"][which], at))
-    updates += [(name, param, grads[name], None)
+    updates += [(name, param, grads[name], slice(None))
                 for name, param in dense_tensors(params)]
 
     for name, param, grad, rows in updates:
-        shape = param.shape if rows is None else (len(rows),) + param.shape[1:]
+        shape = param.shape if isinstance(rows, slice) else (len(rows),) + param.shape[1:]
         if np.shape(grad) != shape:
             raise ValueError(f"gradient shape does not match parameter {name}")
         if not np.isfinite(grad).all():
@@ -516,12 +518,8 @@ def _collect_tensors(params: ModelParams, opt: Optimizer):
 
 
 def save_checkpoint(path, params: ModelParams, opt: Optimizer) -> None:
-    """Write a checkpoint; an existing file at ``path`` is replaced whole.
-
-    The bytes go to a temporary file in the target's directory, which then
-    replaces ``path``, so a write that fails midway leaves no partial
-    checkpoint behind.
-    """
+    """Write a checkpoint; an existing file at ``path`` is replaced whole,
+    and a write that fails midway leaves no partial checkpoint behind."""
     tensors = _collect_tensors(params, opt)
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -543,49 +541,24 @@ def save_checkpoint(path, params: ModelParams, opt: Optimizer) -> None:
             "multiword_skipped": shared.table.multiword_skipped,
         }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "xb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<Q", len(blob)))
-            f.write(blob)
-            for _, arr in tensors:
-                f.write(np.ascontiguousarray(arr))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with write_whole(path, binary=True) as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<Q", len(blob)))
+        f.write(blob)
+        for _, arr in tensors:
+            f.write(np.ascontiguousarray(arr))
 
 
 TENSOR_DTYPES = ("float64", "int64")
 
 
-def _check_header(path, header) -> None:
-    """Reject a header of the wrong form before anything is allocated."""
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format version {header.get('format_version')}"
-        )
-    table = header.get("tensors")
-    if not isinstance(table, list):
-        raise CheckpointError(f"{path}: header has no tensor list")
-    for entry in table:
-        if not (isinstance(entry, list) and len(entry) == 3
-                and isinstance(entry[0], str) and entry[1] in TENSOR_DTYPES
-                and isinstance(entry[2], list)
-                and all(type(n) is int and n >= 0 for n in entry[2])):
-            raise CheckpointError(f"{path}: malformed tensor entry {str(entry)[:80]}")
-
-
 def load_checkpoint(path):
     """Rebuild (params, optimizer) from a checkpoint file.
 
-    The header is checked and every tensor size checked against the file
-    size first; each tensor is then read straight into its own array.
-    Whatever is wrong with the file, the error raised is CheckpointError.
+    The header, and the form and size of every tensor entry against the
+    file size, are checked first; each tensor is then read straight into
+    its own array. Whatever is wrong with the file, the error raised is
+    CheckpointError.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -602,10 +575,23 @@ def load_checkpoint(path):
             header = json.loads(f.read(header_len).decode("utf-8"))
         except ValueError as e:     # UnicodeDecodeError, JSONDecodeError
             raise CheckpointError(f"{path}: header is not UTF-8 JSON ({e})") from None
-        _check_header(path, header)
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported format version {header.get('format_version')}"
+            )
+        if not isinstance(header.get("tensors"), list):
+            raise CheckpointError(f"{path}: header has no tensor list")
         pos += header_len
 
-        for name, dtype, shape in header["tensors"]:
+        for entry in header["tensors"]:
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and isinstance(entry[0], str) and entry[1] in TENSOR_DTYPES
+                    and isinstance(entry[2], list)
+                    and all(type(n) is int and n >= 0 for n in entry[2])):
+                raise CheckpointError(f"{path}: malformed tensor entry {str(entry)[:80]}")
+            name, dtype, shape = entry
             pos += math.prod(shape) * np.dtype(dtype).itemsize
             if pos > size:
                 raise CheckpointError(f"{path}: truncated payload at tensor {name}")
@@ -672,6 +658,9 @@ def _restore(path, header: dict, tensors: dict):
         group_keys = list(header["group_keys"])
         flat = tensor("group/members_flat", (None,), np.int64)
         offsets = tensor("group/offsets", (len(group_keys) + 1,), np.int64)
+        if offsets[0] != 0 or offsets[-1] != flat.size:
+            raise CheckpointError(
+                f"{path}: group/offsets do not span group/members_flat")
         members = [flat[offsets[g] : offsets[g + 1]].tolist()
                    for g in range(len(group_keys))]
         stats = header["group_stats"]

@@ -179,6 +179,9 @@ def dropout(vec: np.ndarray, rate: float, rng: np.random.Generator = None):
     return vec * mask, mask
 
 
+RHO, EPS = 0.95, 1e-6     # Adadelta's defaults, as in Zeiler (2012)
+
+
 @dataclass
 class AdadeltaState:
     """Running squared-gradient and squared-update accumulators."""
@@ -195,7 +198,7 @@ class AdadeltaState:
 
 
 def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
-                    rho: float = 0.95, eps: float = 1e-6, rows=None) -> None:
+                    rho: float = RHO, eps: float = EPS, rows=slice(None)) -> None:
     """One in-place update step.
 
     Accumulate E[g^2], take the step scaled by the ratio of the two RMS
@@ -205,33 +208,18 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
         dx     = - sqrt(E[dx2] + eps) / sqrt(E[g2] + eps) * g
         E[dx2] = rho E[dx2] + (1-rho) dx^2
 
-    With ``rows`` (distinct leading-axis rows of ``param``), ``grad``
-    holds those rows only and every other row's gradient is +0.0. Such a
-    row only decays its two accumulators by rho: its step is -0.0, which
-    moves no parameter. So the formulas run on a gathered copy of the
-    given rows, both accumulators decay in one in-place pass, and the
-    rows are written back, which gives the dense step bit for bit.
+    ``grad`` holds the leading-axis ``rows`` of the gradient (distinct
+    indices, or the default slice for the whole tensor), and every other
+    row's gradient is +0.0. Such a row's step is -0.0, which moves no
+    parameter, so the formulas run on the given rows only and both
+    accumulators decay whole, which gives the dense step bit for bit.
     """
-    if rows is None:
-        _adadelta_step(param, grad, state, rho, eps)
-        return
-    acc = AdadeltaState(sq_grad=state.sq_grad[rows], sq_delta=state.sq_delta[rows])
-    moved = param[rows]
-    _adadelta_step(moved, grad, acc, rho, eps)
     state.sq_grad *= rho
+    state.sq_grad[rows] += (1.0 - rho) * grad * grad
+    delta = -np.sqrt(state.sq_delta[rows] + eps) / np.sqrt(state.sq_grad[rows] + eps) * grad
     state.sq_delta *= rho
-    state.sq_grad[rows] = acc.sq_grad
-    state.sq_delta[rows] = acc.sq_delta
-    param[rows] = moved
-
-
-def _adadelta_step(param, grad, state, rho, eps) -> None:
-    state.sq_grad *= rho
-    state.sq_grad += (1.0 - rho) * grad * grad
-    delta = -np.sqrt(state.sq_delta + eps) / np.sqrt(state.sq_grad + eps) * grad
-    state.sq_delta *= rho
-    state.sq_delta += (1.0 - rho) * delta * delta
-    param += delta
+    state.sq_delta[rows] += (1.0 - rho) * delta * delta
+    param[rows] += delta
 
 
 @dataclass

@@ -629,6 +629,33 @@ def test_free_channel_checkpoint_with_groups_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("where", ["after", "before"])
+def test_group_members_outside_the_offsets_are_rejected(where, tmp_path):
+    # one stray member after the last offset, or before the first with
+    # every offset moved past it: each group still slices out whole
+    header, payload = _split(_checkpoint_bytes("group_init_share"))
+    spans = _tensor_spans(header)
+    start, mid = spans["group/members_flat"]
+    assert spans["group/offsets"][0] == mid        # the two are adjacent
+    end = spans["group/offsets"][1]
+    flat = np.frombuffer(payload[start:mid], dtype=np.int64)
+    offsets = np.frombuffer(payload[mid:end], dtype=np.int64)
+    stray = np.zeros(1, dtype=np.int64)
+    if where == "after":
+        flat = np.concatenate([flat, stray])
+    else:
+        flat, offsets = np.concatenate([stray, flat]), offsets + 1
+    for entry in header["tensors"]:
+        if entry[0] == "group/members_flat":
+            entry[2] = [flat.size]
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_join(json.dumps(header).encode("utf-8"),
+                           payload[:start] + flat.tobytes() + offsets.tobytes()
+                           + payload[end:]))
+    with pytest.raises(CheckpointError, match="group/offsets"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("rho, eps", [(1.0, 1e-6), (0.0, 1e-6), (5.0, -1.0),
                                       (0.95, 0.0), (float("nan"), 1e-6),
                                       (0.95, float("nan")), (0.95, float("inf"))])
