@@ -165,11 +165,15 @@ def mesh_prefix(tree_number: str, depth: int) -> str:
 MESH_PREFIX_DEPTH = 3     # dot-separated parts of a tree number that name its group
 
 
+def _check_prefix_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValueError(f"prefix depth must be at least 1, got {depth}")
+
+
 def groups_from_mesh(lines, vocab: Vocabulary,
                      prefix_depth: int = MESH_PREFIX_DEPTH) -> GroupTable:
     """Tree-coded concepts: "tree_number<TAB>word", grouped by prefix."""
-    if prefix_depth < 1:
-        raise ValueError("prefix_depth must be at least 1")
+    _check_prefix_depth(prefix_depth)
     b = _TableBuilder(vocab)
     for lineno, line in _iter_lines(lines):
         parts = line.split("\t")
@@ -233,12 +237,15 @@ GROUP_KINDS = tuple(_LOADERS)
 
 def load_groups(path, kind: str, vocab: Vocabulary,
                 prefix_depth: int = MESH_PREFIX_DEPTH) -> GroupTable:
-    """Dispatch on resource kind; see the per-format functions."""
+    """Dispatch on resource kind; see the per-format functions. The mesh
+    prefix depth must be at least 1 whatever the kind, as the INI's
+    ``mesh_prefix_depth`` must."""
     loader = _LOADERS.get(kind)
     if loader is None:
         raise ValueError(
             f"unknown groups kind {kind!r}; expected one of {sorted(_LOADERS)}"
         )
+    _check_prefix_depth(prefix_depth)
     extra = (prefix_depth,) if kind == "mesh" else ()
     with open(path, "r", encoding="utf-8") as f:
         return loader(f, vocab, *extra)

@@ -20,6 +20,7 @@ can detect an incompatible routing.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -124,22 +125,26 @@ class Routing:
 
 def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
     """Vectorized routing for every grouped word over ``dim`` coordinates."""
-    grouped = np.array(table.grouped_word_ids(), dtype=np.int64)
-    private = np.setdiff1d(np.arange(table.vocab_size), grouped)
-    if grouped.size == 0:
-        # a free channel; the hash rounds below cost ~80 us on empty arrays
+    if table.group_count == 0:
+        # a free channel; the work below costs ~100 us on empty arrays
         return Routing(
-            grouped_ids=grouped,
-            private_ids=private,
+            grouped_ids=np.zeros(0, dtype=np.int64),
+            private_ids=np.arange(table.vocab_size),
             signs=np.ones((0, dim), dtype=np.int8),
             flat=np.zeros((0, dim), dtype=np.int64),
         )
-    counts = np.array([len(table.membership[w]) for w in grouped], dtype=np.int64)
-    kmax = int(counts.max())
-    padded = np.zeros((grouped.size, kmax), dtype=np.int64)
-    for row, w in enumerate(grouped):
-        gids = table.membership[w]
-        padded[row, : len(gids)] = gids
+    sizes = [len(ws) for ws in table.members]
+    words = np.fromiter(chain.from_iterable(table.members), dtype=np.int64,
+                        count=sum(sizes))
+    gids = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    order = np.lexsort((gids, words))       # by word, then ascending group
+    grouped, first, counts = np.unique(words[order], return_index=True,
+                                       return_counts=True)
+    private = np.setdiff1d(np.arange(table.vocab_size), grouped)
+    # row r holds the ascending group ids of word grouped[r], zero-padded
+    padded = np.zeros((grouped.size, int(counts.max())), dtype=np.int64)
+    row = np.repeat(np.arange(grouped.size), counts)
+    padded[row, np.arange(words.size) - first[row]] = gids[order]
     padded *= dim           # group id -> start of its row in the flat matrix
 
     dims = np.arange(dim, dtype=np.int64)

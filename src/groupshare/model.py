@@ -51,6 +51,7 @@ from .nnet import (
     dropout,
     maxpool1,
     maxpool1_backward,
+    padded_rows,
     rows_product,
     softmax,
     softmax_xent,
@@ -181,14 +182,18 @@ def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
     )
 
 
-# Token positions a padded chunk may span (documents times padded
-# length). A chunk keeps its working set in cache; on 200-token documents
-# a chunk of 1,024 positions predicted 1.5-2x slower than one document
-# at a time. A chunk always holds at least one document.
-CHUNK_POSITIONS = 256
+# Bounds of a block: a run of consecutive documents that goes through
+# one projection per channel and filter height. A block holds at most
+# BLOCK_WORDS distinct words and BLOCK_POSITIONS padded token positions,
+# and at least one document. A training batch of the paper's size (50
+# documents) is one block; the position bound keeps the (documents,
+# windows, filters) responses of a long call at the size of such a
+# batch's, and the word bound keeps the projections small.
+BLOCK_WORDS = 1024
+BLOCK_POSITIONS = 16384
 
 
-def pad_chunk(docs, min_len: int, pad_id: int) -> np.ndarray:
+def pad_block(docs, min_len: int, pad_id: int) -> np.ndarray:
     """Documents as the rows of one id matrix, padded to the longest of
     them and to at least ``min_len`` tokens."""
     width = max([min_len] + [len(doc) for doc in docs])
@@ -198,42 +203,61 @@ def pad_chunk(docs, min_len: int, pad_id: int) -> np.ndarray:
     return ids
 
 
-def padded_chunks(params: ModelParams, docs):
-    """Yield (start, ids) over runs of consecutive documents.
+def distinct_words(docs) -> np.ndarray:
+    """The ascending distinct ids of a list of id arrays."""
+    return np.unique(np.concatenate([np.empty(0, np.int64), *docs]))
 
-    ``ids`` holds ``docs[start:start + len(ids)]`` padded by ``pad_chunk``
-    to at least the maximum filter height; a run grows while its padded
-    size stays within CHUNK_POSITIONS.
+
+def blocks(params: ModelParams, docs):
+    """Yield (start, ids, words) over the blocks of ``docs``.
+
+    ``ids`` holds ``docs[start:start + len(ids)]`` padded by ``pad_block``
+    to at least the maximum filter height, and ``words`` their ascending
+    distinct ids. A block grows while it stays within BLOCK_POSITIONS and
+    BLOCK_WORDS.
     """
     min_len = params.config.max_height
+    lengths = [len(doc) for doc in docs]
     start = 0
     while start < len(docs):
-        width = max(min_len, len(docs[start]))
+        width = max(min_len, lengths[start])
         end = start + 1
         while end < len(docs):
-            grown = max(width, len(docs[end]))
-            if (end + 1 - start) * grown > CHUNK_POSITIONS:
+            grown = max(width, lengths[end])
+            if (end + 1 - start) * grown > BLOCK_POSITIONS:
                 break
             width, end = grown, end + 1
-        yield start, pad_chunk(docs[start:end], min_len, params.vocab.pad_id)
+        words, first = np.unique(np.concatenate(docs[start:end]), return_index=True)
+        if words.size > BLOCK_WORDS:
+            # cut before the document that brings word BLOCK_WORDS + 1
+            over = np.partition(first, BLOCK_WORDS)[BLOCK_WORDS]
+            ends = np.cumsum(lengths[start:end])
+            end = start + max(1, int(np.searchsorted(ends, over, side="right")))
+            words = distinct_words(docs[start:end])
+        yield start, pad_block(docs[start:end], min_len, params.vocab.pad_id), words
         start = end
 
 
-def channel_rows(params: ModelParams, docs) -> tuple:
-    """(words, rows): the ascending distinct word ids of ``docs``, and a
-    list of each channel's embedding rows of them."""
-    words = np.unique(np.concatenate([np.empty(0, np.int64), *docs]))
-    rows = [params.emb_pretrained[words]]
+def channel_rows(params: ModelParams, words: np.ndarray) -> list:
+    """Each channel's embedding rows of the ascending ids ``words``, in a
+    matrix of ``padded_rows(len(words) + 1)`` rows whose rows from
+    ``len(words)`` on are zero: row ``len(words)`` is what a PAD position
+    reads."""
+    n = len(words)
+    shape = (padded_rows(n + 1), params.config.embedding_dim)
+    rows = [np.zeros(shape)]
+    np.take(params.emb_pretrained, words, axis=0, out=rows[0][:n])
     if params.ch2 is not None:
-        rows.append(sync_forward(params.ch2, words))
-    return words, rows
+        rows.append(np.zeros(shape))
+        rows[1][:n] = sync_forward(params.ch2, words)
+    return rows
 
 
 @dataclass
 class ForwardCache:
-    ids: np.ndarray
-    real: np.ndarray    # (documents, length) bool: not a PAD position
-    slots: np.ndarray   # row in ``words`` of each real position, row-major
+    slots: np.ndarray   # (documents, length) row of each position in the rows
+    n_words: int
+    n_rows: int         # rows of each channel's row matrix
     channels: list      # per channel: (grad_key, bank_key, per-height caches)
     dropped: np.ndarray
     drop_mask: np.ndarray
@@ -241,23 +265,24 @@ class ForwardCache:
 
 def forward(ids: np.ndarray, params: ModelParams, words: np.ndarray, rows: list,
             dropout_rng: np.random.Generator = None):
-    """Logits for a chunk of documents padded to one length.
+    """Logits for a block of documents padded to one length.
 
     ``ids`` is (documents, length), with length at least the maximum
-    filter height; returns (documents, classes) logits. ``words`` and
-    ``rows`` are as ``channel_rows`` gives them, and ``words`` holds every
-    id in the chunk but PAD; PAD positions read +0.0. Dropout runs
+    filter height; returns (documents, classes) logits. ``words`` holds
+    every id in the block but PAD, ascending, and ``rows`` is
+    ``channel_rows(params, words)``; PAD positions read +0.0. Dropout runs
     when ``dropout_rng`` is given (training) and not without it
     (evaluation). Pooling covers the windows that fit inside each
     document's real tokens; a document shorter than a filter keeps its
     single pad-completed window. Extra trailing padding therefore never
-    changes the logits.
+    changes the logits. The ReLU runs on the pooled features: it is
+    monotone, so the max of the rectified windows is the rectified max.
     """
     config = params.config
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] < config.max_height:
         raise ValueError(
-            f"a chunk must be (documents, length) with length at least "
+            f"a block must be (documents, length) with length at least "
             f"{config.max_height} (pad it first)"
         )
     real = ids != params.vocab.pad_id
@@ -265,33 +290,26 @@ def forward(ids: np.ndarray, params: ModelParams, words: np.ndarray, rows: list,
     if (real_len == 0).any():
         raise ValueError("document is all padding")
 
-    slots = np.searchsorted(words, ids[real])
+    slots = np.where(real, np.searchsorted(words, ids), len(words))
     banks = [("emb_p", "bank_p", params.bank_p), ("ch2", "bank_s", params.bank_s)]
-
-    # A document longer than half of CHUNK_POSITIONS always has a chunk to
-    # itself, so its products keep one shape whatever documents surround
-    # it in a call; it goes through the single-input convolution, which
-    # skips the copy and the row blocks that a batch needs.
-    alone = ids.shape[1] > CHUNK_POSITIONS // 2
     channels = []
     pieces = []
     for (grad_key, bank_key, bank), table in zip(banks, rows):  # one per channel
-        x = np.zeros(ids.shape + (table.shape[1],))
-        x[real] = table[slots]
         per_height = []
         for h in config.filter_heights:
-            out, cache = conv_forward(x[0] if alone else x, bank.weights[h],
-                                      bank.biases[h])
-            out = out.reshape(len(ids), -1, out.shape[-1])
-            pooled, idx = maxpool1(out, np.maximum(real_len - h + 1, 1))
-            per_height.append((h, cache, idx, out.shape[1]))
+            pooled, idx, cache = conv_forward(
+                table, slots, np.maximum(real_len - h + 1, 1), bank.weights[h],
+                bank.biases[h], maxpool1)
+            pooled = np.maximum(pooled, 0.0)
+            per_height.append((h, cache, idx, pooled))
             pieces.append(pooled)
         channels.append((grad_key, bank_key, per_height))
 
     feat = np.concatenate(pieces, axis=1)
     dropped, drop_mask = dropout(feat, config.dropout_rate, dropout_rng)
     logits = rows_product(dropped, params.softmax_w) + params.softmax_b
-    return logits, ForwardCache(ids=ids, real=real, slots=slots, channels=channels,
+    return logits, ForwardCache(slots=slots, n_words=len(words), n_rows=len(rows[0]),
+                                channels=channels,
                                 dropped=dropped, drop_mask=drop_mask)
 
 
@@ -310,8 +328,8 @@ def dense_tensors(params: ModelParams) -> list:
 def zero_gradients(params: ModelParams, n_rows: int) -> dict:
     """Gradient accumulators keyed like the parameters they mirror.
 
-    The embedding gradients hold ``n_rows`` rows, one for each id that
-    ``channel_rows`` gives for the batch, in that order.
+    The embedding gradients hold ``n_rows`` rows, one for each of the
+    batch's ascending distinct word ids, in that order.
     """
     grads = {name: np.zeros_like(t) for name, t in dense_tensors(params)}
     keys = ("emb_p",) if params.ch2 is None else ("emb_p", "ch2")
@@ -321,30 +339,30 @@ def zero_gradients(params: ModelParams, n_rows: int) -> dict:
 
 
 def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
-             grads: dict) -> None:
-    """Accumulate the gradients of a chunk's summed loss into ``grads``;
-    ``d_logits`` is (documents, classes), and the embedding gradient rows
-    are those of the ``words`` that ``forward`` was given."""
-    config = params.config
+             grads: dict, at=slice(None)) -> None:
+    """Accumulate the gradients of a block's summed loss into ``grads``;
+    ``d_logits`` is (documents, classes), and ``at`` gives the embedding
+    gradient rows of the ``words`` that ``forward`` was given."""
     grads["softmax/W"] += cache.dropped.T @ d_logits
     grads["softmax/b"] += d_logits.sum(axis=0)
     d_feat = d_logits @ params.softmax_w.T
     if cache.drop_mask is not None:
         d_feat = d_feat * cache.drop_mask
 
-    f = config.filters_per_height
+    f = params.config.filters_per_height
     pos = 0
     for grad_key, bank_key, per_height in cache.channels:
-        dx_total = None
-        for h, conv_cache, idx, n_windows in per_height:
-            d_conv = maxpool1_backward(d_feat[:, pos : pos + f], idx, n_windows)
+        d_rows = 0.0
+        for h, conv_cache, idx, pooled in per_height:
+            # through the ReLU, which passes gradient where it passed input
+            d_pre = d_feat[:, pos : pos + f] * (pooled > 0.0)
             pos += f
-            dx, d_w, d_b = conv_backward(d_conv, conv_cache)
+            d_proj = maxpool1_backward(d_pre, idx, cache.slots, h, cache.n_rows)
+            dx, d_w, d_b = conv_backward(d_proj, conv_cache)
             grads[f"{bank_key}/W/{h}"] += d_w
             grads[f"{bank_key}/b/{h}"] += d_b
-            dx_total = dx if dx_total is None else dx_total + dx
-        dx_total = dx_total.reshape(cache.ids.shape + (-1,))
-        np.add.at(grads[grad_key], cache.slots, dx_total[cache.real])
+            d_rows = d_rows + dx
+        grads[grad_key][at] += d_rows[: cache.n_words]
 
 
 def batch_gradients(params: ModelParams, docs, labels,
@@ -361,15 +379,22 @@ def batch_gradients(params: ModelParams, docs, labels,
     if len(docs) != len(labels):
         raise ValueError("documents and labels disagree in length")
     labels = np.asarray(labels, dtype=np.int64)
-    words, rows = channel_rows(params, docs)
+    parts = list(blocks(params, docs))
+    if len(parts) == 1:
+        words = parts[0][2]
+    else:
+        words = distinct_words([block_words for _, _, block_words in parts])
     grads = zero_gradients(params, len(words))
     total_loss = 0.0
-    for start, ids in padded_chunks(params, docs):
-        chunk_labels = labels[start : start + len(ids)]
-        logits, cache = forward(ids, params, words, rows, dropout_rng=dropout_rng)
-        loss, probs = softmax_xent(logits, chunk_labels)
+    for start, ids, block_words in parts:
+        block_labels = labels[start : start + len(ids)]
+        logits, cache = forward(ids, params, block_words,
+                                channel_rows(params, block_words),
+                                dropout_rng=dropout_rng)
+        loss, probs = softmax_xent(logits, block_labels)
         total_loss += loss.sum()
-        backward(softmax_xent_backward(probs, chunk_labels), cache, params, grads)
+        at = slice(None) if len(parts) == 1 else np.searchsorted(words, block_words)
+        backward(softmax_xent_backward(probs, block_labels), cache, params, grads, at)
     scale = 1.0 / len(docs)
     for grad in grads.values():
         grad *= scale
@@ -451,11 +476,10 @@ def train_step(params: ModelParams, opt: Optimizer, docs, labels) -> float:
 
 
 def _eval_logits(params: ModelParams, docs):
-    """Yield (start, logits) over the padded chunks of ``docs``, in
-    evaluation mode (no dropout)."""
-    words, rows = channel_rows(params, docs)
-    for start, ids in padded_chunks(params, docs):
-        logits, _ = forward(ids, params, words, rows)
+    """Yield (start, logits) over the blocks of ``docs``, in evaluation
+    mode (no dropout)."""
+    for start, ids, words in blocks(params, docs):
+        logits, _ = forward(ids, params, words, channel_rows(params, words))
         yield start, logits
 
 

@@ -2,22 +2,24 @@
 
 All kernels are pure numpy in float64, written as forward/backward pairs
 so gradients can be finite-difference checked. Each takes the form that
-``model`` passes: a chunk of documents padded to one length, documents
-first; the convolution also takes one (length, dim) document. Filters
-span the full width, so each is a dot product per window. The kernels
-trust their callers' checks: ``model.forward`` checks the chunk length,
-``ModelConfig`` the dropout rate, ``model.apply_gradients`` each gradient.
+``model`` passes: a block of documents padded to one length, documents
+first. Filters span the full width, so a filter of height h is h slices,
+one per token of its window. The convolution projects each distinct
+embedding row onto every slice once and forms a window's response as a
+sum of h projections, shifted by one token each. The kernels trust
+their callers' checks: ``model.forward`` checks the block length,
+``ModelConfig`` the dropout rate, ``model.apply_gradients`` each
+gradient.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+import scipy.sparse
 
 
 # Forward products run in blocks of this many rows; see rows_product.
-ROW_BLOCK = 32
+ROW_BLOCK = 24
 
 
 def padded_rows(n: int) -> int:
@@ -25,15 +27,22 @@ def padded_rows(n: int) -> int:
     return max(1, -(-n // ROW_BLOCK)) * ROW_BLOCK
 
 
-def rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def rows_product(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """``a @ b`` for a 2-D ``a``, as one product per block of ROW_BLOCK rows.
 
     OpenBLAS picks its kernels, and how it splits a product between
     threads, by the product's size, and the rows of a small product or of
     a partial tile come out with other last bits than the same rows inside
     a larger product. A stack of equal-sized blocks, the last one padded
-    with zero rows, makes every row's result depend on that row alone, so
-    a document scores the same bytes whichever documents share its chunk.
+    with zero rows, gives each row one product shape wherever it sits. On
+    OpenBLAS 0.3.31 (Haswell kernels), with one thread or two, 24-row
+    blocks keep every row's bytes independent of its position and of its
+    neighbours for inner sizes 4 to 1,500 and 2 to 3,600 columns; 32-row
+    blocks did not, at 300, 500 and 700 columns with one thread.
+
+    An ``a`` whose row count is a multiple of ROW_BLOCK is used as it is,
+    and then ``out``, a C-ordered array of the product's shape, may take
+    the product.
     """
     n = a.shape[0]
     rows = padded_rows(n)
@@ -42,89 +51,127 @@ def rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         padded[:n] = a
         a = padded
     blocks = a.reshape(rows // ROW_BLOCK, ROW_BLOCK, a.shape[1])
-    return np.matmul(blocks, b).reshape(rows, b.shape[1])[:n]
+    if out is not None:
+        out = out.reshape(blocks.shape[:2] + (b.shape[1],))
+    return np.matmul(blocks, b, out=out).reshape(rows, b.shape[1])[:n]
 
 
-def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
-    """Full-width 1-D convolution over the token axis, with a ReLU.
+def _window_sums(slots: np.ndarray, counts: np.ndarray, height: int, n_rows: int):
+    """The 0/1 matrix through which conv_forward sums each window.
 
-    x: (length, dim), or (batch, length, dim) for inputs padded to one
-    length, with length at least the filter height; weights: (filters,
-    height, dim); bias: (filters,). Returns ((windows, filters)
-    activations, with the batch axis in front for a batch, and a cache for
-    the backward pass).
-
-    A single input's windows are a strided view of it and go through one
-    plain product. A batch's windows are copied into a buffer of
-    ``padded_rows`` rows and go through rows_product, so that each row's
-    result does not depend on the rest of the batch.
+    Row ``d * windows + t`` selects column ``slots[d, t + k] * height + k``
+    for k = 0..height-1 and then the bias column ``n_rows * height``, in
+    that order; a window past its document's count selects the -inf
+    column ``n_rows * height + 1`` as often instead.
     """
-    length, dim = x.shape[-2:]
-    f, height, _ = weights.shape
+    docs, length = slots.shape
     n_t = length - height + 1
-    w = weights.reshape(f, height * dim).T
-    if x.ndim == 2:
-        windows = sliding_window_view(x, height, axis=0)      # (n_t, dim, height)
-        flat = windows.transpose(0, 2, 1).reshape(n_t, height * dim)
-        pre = flat @ w + bias
-    else:
-        n = x.shape[0] * n_t
-        windows = sliding_window_view(x, height, axis=1)      # (batch, n_t, dim, height)
-        padded = np.zeros((padded_rows(n), height * dim))
-        flat = padded[:n]
-        flat.reshape(x.shape[0], n_t, height, dim)[...] = np.swapaxes(windows, -1, -2)
-        pre = rows_product(padded, w)[:n] + bias
-    out = np.maximum(pre, 0.0)
-    cache = (flat, weights, pre, x.shape)
-    return out.reshape(x.shape[:-2] + (n_t, f)), cache
+    bias_col = n_rows * height
+    cols = np.empty((docs, n_t, height + 1), dtype=np.int64)
+    for k in range(height):
+        cols[:, :, k] = slots[:, k : k + n_t] * height + k
+    cols[:, :, height] = bias_col
+    cols[np.arange(n_t) >= counts[:, None]] = bias_col + 1
+    return scipy.sparse.csr_array(
+        (np.ones(cols.size), cols.reshape(-1), np.arange(0, cols.size + 1, height + 1)),
+        shape=(docs * n_t, bias_col + 2))
 
 
-def conv_backward(d_out: np.ndarray, cache):
-    """Gradients of conv_forward: returns (dx, d_weights, d_bias).
+# conv_forward forms and pools the window responses of a run of documents
+# at a time, at most this many (window, filter) values (2 MiB) or one
+# document: a block's responses never exist whole, and each run is pooled
+# while it is in cache.
+TILE_VALUES = 1 << 18
 
-    Only the windows whose gradient is nonzero enter the products. Behind
-    a max-pool, which passes gradient to one window per filter, the work
-    follows the argmax windows rather than the input length.
+
+def conv_forward(rows: np.ndarray, slots: np.ndarray, counts: np.ndarray,
+                 weights: np.ndarray, bias: np.ndarray, pool):
+    """Full-width 1-D convolution over the token axis, max-pooled.
+
+    rows: (n, dim) embedding rows, n a multiple of ROW_BLOCK; slots:
+    (docs, length) the row of ``rows`` at each token position, with
+    length at least the filter height; counts: (docs,) the windows of
+    each document that the pool covers, ``1 <= counts[d] <= length -
+    height + 1``; weights: (filters, height, dim); bias: (filters,);
+    pool: ``maxpool1``, called on the (docs, windows, filters)
+    pre-activations of each run of documents as it is formed. Returns
+    ((docs, filters) pooled pre-activations, (docs, filters) their
+    windows, and a cache for the backward pass).
+
+    Every row is projected onto every slice at once, ``P = rows_product(
+    rows, w)`` with ``w`` the slices ``weights[:, k, :].T`` side by side,
+    so a row's projection does not depend on the other rows. Window t's
+    pre-activation is ``sum_k P[slots[t + k], block k] + bias``, added in
+    the order k = 0..height-1 and the bias last, as one sparse product; a
+    window past its document's count reads -inf, so that the pool skips
+    it. The responses are pooled a run of documents at a time (see
+    TILE_VALUES), by the caller's pool, so that the pool runs, and is
+    timed, as the caller's ``maxpool1``.
     """
-    flat, weights, pre, x_shape = cache
     f, height, dim = weights.shape
-    length = x_shape[-2]
-    n_t = length - height + 1
-    d_pre = np.asarray(d_out, dtype=np.float64).reshape(-1, f) * (pre > 0.0)
-    rows = np.flatnonzero(d_pre.any(axis=1))
-    d_pre = d_pre[rows]
-    d_w = (d_pre.T @ flat[rows]).reshape(f, height, dim)
-    d_b = d_pre.sum(axis=0)
-    d_windows = (d_pre @ weights.reshape(f, height * dim)).reshape(-1, height, dim)
-    dx = np.zeros((math.prod(x_shape[:-1]), dim))
-    first = rows // n_t * length + rows % n_t     # first token of each window
-    for off in range(height):
-        dx[first + off] += d_windows[:, off, :]
-    return dx.reshape(x_shape), d_w, d_b
+    n = rows.shape[0]
+    w = weights.transpose(2, 1, 0).reshape(dim, height * f)   # block k: slice k
+    # row r * height + k: slice k's response to row r; then the bias row
+    # and the -inf row
+    proj = np.empty((n * height + 2, f))
+    rows_product(rows, w, out=proj[:-2])
+    proj[-2] = bias
+    proj[-1] = -np.inf
+    n_t = slots.shape[1] - height + 1
+    step = max(1, TILE_VALUES // (n_t * f))
+    pooled = [pool((_window_sums(slots[lo : lo + step], counts[lo : lo + step],
+                                 height, n) @ proj).reshape(-1, n_t, f))
+              for lo in range(0, len(slots), step)]
+    return (np.concatenate([top for top, _ in pooled]),
+            np.concatenate([idx for _, idx in pooled]), (rows, w, f))
 
 
-def maxpool1(values: np.ndarray, counts: np.ndarray):
+def conv_backward(d_proj: np.ndarray, cache):
+    """Gradients of conv_forward from the gradient of its projections.
+
+    d_proj: (n, height * filters), as maxpool1_backward gives it. Returns
+    (d_rows, d_weights, d_bias): the gradients of ``rows``, of the
+    weights and of the bias. Each window adds one projection of block 0,
+    so the bias gradient is the column sum of that block.
+    """
+    rows, w, f = cache
+    dim, width = w.shape
+    d_rows = d_proj @ w.T
+    d_w = (rows.T @ d_proj).reshape(dim, width // f, f).transpose(2, 1, 0)
+    return d_rows, d_w, d_proj[:, :f].sum(axis=0)
+
+
+def maxpool1(values: np.ndarray):
     """Max over the window axis of a batch, first index winning ties.
 
-    values: (batch, windows, filters); item ``b`` pools its first
-    ``counts[b]`` windows only, with ``1 <= counts[b] <= windows``.
-    Returns ((batch, filters) max values, (batch, filters) argmax indices).
+    values: (batch, windows, filters). Returns ((batch, filters) max
+    values, (batch, filters) argmax indices). The argmax is the first
+    window equal to the max: ``argmax`` over a middle axis would copy
+    ``values`` whole, a mask of bools costs an eighth of that.
     """
-    if counts.min() < values.shape[1]:
-        valid = np.arange(values.shape[1]) < counts[:, None]
-        values = np.where(valid[:, :, None], values, -np.inf)
-    return values.max(axis=1), values.argmax(axis=1)
+    top = values.max(axis=1)
+    return top, (values == top[:, None, :]).argmax(axis=1)
 
 
-def maxpool1_backward(d_out: np.ndarray, idx: np.ndarray, length: int) -> np.ndarray:
-    """Scatter pooled gradients back to the argmax positions.
+def maxpool1_backward(d_out: np.ndarray, idx: np.ndarray, slots: np.ndarray,
+                      height: int, n_rows: int) -> np.ndarray:
+    """Scatter pooled gradients onto the projections of the argmax windows.
 
-    d_out and idx: (batch, filters); returns (batch, length, filters),
-    zero outside the argmax windows.
+    d_out and idx: (batch, filters), the gradient of each pooled
+    pre-activation and its window; slots: as conv_forward took them;
+    n_rows: the rows of conv_forward's ``rows``. Returns the (n_rows, height * filters) gradient of
+    conv_forward's projections: filter j of window t of document b adds
+    ``d_out[b, j]`` to column ``k * filters + j`` of row ``slots[b, t + k]``
+    for each k, in one ``bincount``.
     """
-    grad = np.zeros((d_out.shape[0], length, d_out.shape[1]), dtype=np.float64)
-    np.put_along_axis(grad, idx[:, None, :], d_out[:, None, :], axis=1)
-    return grad
+    batch, f = d_out.shape
+    k = np.arange(height)
+    first = np.arange(batch)[:, None] * slots.shape[1] + idx   # (batch, filters)
+    at = np.take(slots, first[:, :, None] + k)                   # (batch, filters, height)
+    cell = (at * height + k) * f + np.arange(f)[:, None]
+    d_proj = np.bincount(cell.reshape(-1), weights=np.repeat(d_out.reshape(-1), height),
+                         minlength=n_rows * height * f)
+    return d_proj.reshape(n_rows, height * f)
 
 
 def softmax(logits: np.ndarray):

@@ -1,5 +1,9 @@
 """Small builders shared across test modules."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 from groupshare.corpus import Vocabulary, build_vocabulary
@@ -59,3 +63,20 @@ def dense_gradients(params, grads, words) -> dict:
             out[key] = np.zeros((params.vocab.num_rows, grads[key].shape[1]))
             out[key][words] = grads[key]
     return out
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+
+def in_blas_threads(threads: int, module: str, function: str) -> None:
+    """Call ``function()`` of the test module ``module`` in a fresh
+    interpreter whose OpenBLAS runs ``threads`` threads, and fail with its
+    error output if it fails. OpenBLAS reads the count when numpy loads,
+    so a process cannot change it for itself."""
+    path = [SRC, TESTS] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", f"import {module}; {module}.{function}()"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-3000:]

@@ -1,11 +1,14 @@
 """The per-document forward and backward pass, kept as the slow reference.
 
-``model`` runs padded chunks of documents through one product per
-channel and height. This module is the loop it replaced: every document
-is padded alone and goes through its own small convolution, max-pool and
-backward products, written out here without a batch axis. The property
-tests in ``test_batched_reference.py`` hold ``batch_gradients``,
-``predict`` and ``loss_on`` to these functions.
+``model`` runs blocks of documents through one projection of their
+distinct words per channel and height, and sums each window from those
+projections. This module is the loop it replaced: every document is
+padded alone and goes through its own small im2col convolution (each
+window's tokens copied side by side and multiplied by the flattened
+filters), max-pool and backward products, written out here without a
+batch axis. The property tests in ``test_batched_reference.py`` hold
+``batch_gradients``, ``predict``, ``loss_on`` and the kernels to these
+functions.
 """
 
 import numpy as np

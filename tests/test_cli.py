@@ -106,6 +106,23 @@ def test_build_groups_mesh_depth(tmp_path, capsys):
     assert "C01.100\taaa" in out.read_text()
 
 
+def test_build_groups_refuses_a_prefix_depth_below_one(tmp_path, capsys):
+    data, groups = write_dataset(tmp_path)
+    vocab = tmp_path / "v.txt"
+    main(["build-vocab", "--dataset", str(data), "--out", str(vocab)])
+    out = tmp_path / "g.tsv"
+    for kind in ("tsv", "mesh"):
+        for depth in ("0", "-5"):
+            capsys.readouterr()
+            rc = main(["build-groups", "--kind", kind, "--input", str(groups),
+                       "--vocab", str(vocab), "--out", str(out),
+                       "--prefix-depth", depth])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: prefix depth must be at least 1, got {depth}")
+            assert not out.exists()
+
+
 def test_train_predict_cycle(tmp_path, capsys):
     data, groups = write_dataset(tmp_path)
     cfg = write_config(tmp_path, data, groups)

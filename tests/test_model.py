@@ -22,7 +22,7 @@ from groupshare.model import (
     init_params,
     load_checkpoint,
     loss_on,
-    pad_chunk,
+    pad_block,
     predict,
     save_checkpoint,
     train_step,
@@ -58,9 +58,10 @@ def tiny_setup(seed=0, n_words=14, dim=5, mode="group_init_share",
 
 
 def forward_alone(ids, params):
-    """``forward`` on one chunk, given the rows of every id in it, PAD's
+    """``forward`` on one block, given the rows of every id in it, PAD's
     rows among them."""
-    return forward(ids, params, *model_module.channel_rows(params, [np.ravel(ids)]))
+    words = np.unique(ids)
+    return forward(ids, params, words, model_module.channel_rows(params, words))
 
 
 def test_config_validation():
@@ -140,8 +141,8 @@ def test_forward_invariant_to_extra_padding():
     params, docs, _, vocab, _, _ = tiny_setup(seed=3)
     pad = vocab.pad_id
     for doc in docs:
-        a = pad_chunk([doc], params.config.max_height, pad)
-        b = pad_chunk([doc], params.config.max_height + 4, pad)
+        a = pad_block([doc], params.config.max_height, pad)
+        b = pad_block([doc], params.config.max_height + 4, pad)
         la, _ = forward_alone(a, params)
         lb, _ = forward_alone(b, params)
         np.testing.assert_array_equal(la, lb)
@@ -149,7 +150,7 @@ def test_forward_invariant_to_extra_padding():
 
 def test_forward_ignores_pad_row_contents():
     params, docs, _, vocab, _, _ = tiny_setup(seed=8)
-    doc = pad_chunk([docs[0][:2]], params.config.max_height, vocab.pad_id)
+    doc = pad_block([docs[0][:2]], params.config.max_height, vocab.pad_id)
     before, _ = forward_alone(doc, params)
     params.emb_pretrained[vocab.pad_id] = 1e6
     params.ch2.private[np.searchsorted(params.ch2.private_ids, vocab.pad_id)] = -1e6

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupshare import nnet
 from groupshare.hashing import locate
 from groupshare.model import ModelConfig, init_params
 from groupshare.nnet import (
+    ROW_BLOCK,
     AdadeltaState,
     adadelta_update,
     conv_backward,
@@ -13,15 +15,17 @@ from groupshare.nnet import (
     dropout,
     maxpool1,
     maxpool1_backward,
+    padded_rows,
+    rows_product,
     softmax_xent,
     softmax_xent_backward,
 )
 from groupshare.seeding import make_rng
-from helpers import vocab_of
+from helpers import in_blas_threads, vocab_of
 
 
 def conv_loops(x, weights, bias):
-    """Triple-loop convolution with a ReLU, used as the oracle."""
+    """Triple-loop convolution, before the ReLU, used as the oracle."""
     length, dim = x.shape
     f, height, _ = weights.shape
     out = np.zeros((length - height + 1, f))
@@ -32,21 +36,49 @@ def conv_loops(x, weights, bias):
                 for j in range(dim):
                     acc += x[t + o, j] * weights[k, o, j]
             out[t, k] = acc + bias[k]
-    return np.maximum(out, 0.0)
+    return out
 
 
-def test_conv_forward_matches_loop_oracle():
+def conv_case(rng, docs, length, height, dim, f):
+    """Rows (the last ROW_BLOCK-padded ones zero), the slot of each token
+    position, the windows each document pools, and a filter bank."""
+    n = int(rng.integers(1, 8))
+    rows = np.zeros((padded_rows(n + 1), dim))
+    rows[:n] = rng.normal(0, 1, size=(n, dim))
+    slots = rng.integers(0, n + 1, size=(docs, length))    # n: a PAD position
+    counts = rng.integers(1, length - height + 2, size=docs)
+    w = rng.normal(0, 1, size=(f, height, dim))
+    b = rng.normal(0, 1, size=f)
+    return rows, slots, counts, w, b
+
+
+def test_conv_forward_matches_loop_oracle(monkeypatch):
+    # small tiles, so that most calls pool several runs of documents
+    monkeypatch.setattr(nnet, "TILE_VALUES", 40)
     rng = np.random.default_rng(12)
     for _ in range(20):
         length = int(rng.integers(2, 12))
         height = int(rng.integers(1, length + 1))
-        dim = int(rng.integers(1, 7))
-        f = int(rng.integers(1, 6))
-        x = rng.normal(0, 1, size=(length, dim))
-        w = rng.normal(0, 1, size=(f, height, dim))
-        b = rng.normal(0, 1, size=f)
-        out, _ = conv_forward(x, w, b)
-        np.testing.assert_allclose(out, conv_loops(x, w, b), rtol=1e-12, atol=1e-12)
+        docs = int(rng.integers(1, 6))
+        rows, slots, counts, w, b = conv_case(rng, docs, length, height,
+                                              int(rng.integers(1, 7)),
+                                              int(rng.integers(1, 6)))
+        seen = []
+
+        def keep(values):
+            seen.append(values)
+            return maxpool1(values)
+
+        pooled, idx, _ = conv_forward(rows, slots, counts, w, b, keep)
+        pre = np.concatenate(seen)
+        for d in range(docs):
+            want = conv_loops(rows[slots[d]], w, b)
+            np.testing.assert_allclose(pre[d, : counts[d]], want[: counts[d]],
+                                       rtol=1e-12, atol=1e-12)
+            # windows past the document's count do not take part
+            assert (pre[d, counts[d] :] == -np.inf).all()
+            np.testing.assert_array_equal(pooled[d], pre[d].max(axis=0))
+            np.testing.assert_array_equal(idx[d], pre[d].argmax(axis=0))
 
 
 def test_conv_backward_finite_differences():
@@ -55,57 +87,94 @@ def test_conv_backward_finite_differences():
     for trial in range(8):
         length = int(rng.integers(3, 9))
         height = int(rng.integers(1, 4))
-        dim = int(rng.integers(1, 5))
-        f = int(rng.integers(1, 4))
-        x = rng.normal(0, 1, size=(length, dim))
-        w = rng.normal(0, 1, size=(f, height, dim))
-        b = rng.normal(0, 1, size=f)
-        proj = rng.normal(0, 1, size=(length - height + 1, f))
+        rows, slots, counts, w, b = conv_case(rng, 3, length, height,
+                                              int(rng.integers(1, 5)),
+                                              int(rng.integers(1, 4)))
+        proj = rng.normal(0, 1, size=(3, w.shape[0]))
 
-        def loss(xv, wv, bv):
-            out, _ = conv_forward(xv, wv, bv)
-            return float((out * proj).sum())
+        def loss(rv, wv, bv):
+            pooled, _, _ = conv_forward(rv, slots, counts, wv, bv, maxpool1)
+            return float((pooled * proj).sum())
 
-        out, cache = conv_forward(x, w, b)
-        dx, dw, db = conv_backward(proj, cache)
-        for arr, grad, which in ((x, dx, "x"), (w, dw, "w"), (b, db, "b")):
+        _, idx, cache = conv_forward(rows, slots, counts, w, b, maxpool1)
+        d_proj = maxpool1_backward(proj, idx, slots, height, len(rows))
+        d_rows, dw, db = conv_backward(d_proj, cache)
+        for arr, grad, which in ((rows, d_rows, "rows"), (w, dw, "w"), (b, db, "b")):
             flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for idx in rng.choice(flat.size, size=min(6, flat.size), replace=False):
-                old = flat[idx]
-                flat[idx] = old + eps
-                up = loss(x, w, b)
-                flat[idx] = old - eps
-                down = loss(x, w, b)
-                flat[idx] = old
+            gflat = np.ascontiguousarray(grad).reshape(-1)
+            for idx_ in rng.choice(flat.size, size=min(6, flat.size), replace=False):
+                old = flat[idx_]
+                flat[idx_] = old + eps
+                up = loss(rows, w, b)
+                flat[idx_] = old - eps
+                down = loss(rows, w, b)
+                flat[idx_] = old
                 fd = (up - down) / (2 * eps)
-                assert abs(fd - gflat[idx]) < 1e-5, (which, trial)
+                assert abs(fd - gflat[idx_]) < 1e-5, (which, trial)
 
 
 def test_maxpool_first_index_wins_ties():
     vals = np.array([[[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]]])
-    out, idx = maxpool1(vals, np.array([3]))
+    out, idx = maxpool1(vals)
     np.testing.assert_array_equal(out, [[3.0, 5.0]])
     np.testing.assert_array_equal(idx, [[1, 0]])
-    # windows past the document's count do not take part
-    out, idx = maxpool1(np.array([[[2.0], [7.0], [7.0], [9.0]]]), np.array([3]))
+    # a window that reads -inf, as one past its document's count does,
+    # never wins
+    out, idx = maxpool1(np.array([[[2.0], [7.0], [7.0], [-np.inf]]]))
     assert out[0, 0] == 7.0 and idx[0, 0] == 1
 
 
 def test_maxpool_backward_scatters_to_argmax():
     rng = np.random.default_rng(9)
     for _ in range(15):
-        n = int(rng.integers(1, 9))
+        docs = int(rng.integers(1, 4))
+        length = int(rng.integers(1, 9))
+        height = int(rng.integers(1, length + 1))
         f = int(rng.integers(1, 6))
-        vals = rng.normal(0, 1, size=(1, n, f))
-        out, idx = maxpool1(vals, np.array([n]))
-        d_out = rng.normal(0, 1, size=(1, f))
-        grad = maxpool1_backward(d_out, idx, n)
-        assert grad.shape == vals.shape
-        for k in range(f):
-            for t in range(n):
-                expected = d_out[0, k] if t == idx[0, k] else 0.0
-                assert grad[0, t, k] == expected
+        n_rows = int(rng.integers(1, 6))
+        slots = rng.integers(0, n_rows, size=(docs, length))
+        idx = rng.integers(0, length - height + 1, size=(docs, f))
+        d_out = rng.normal(0, 1, size=(docs, f))
+        grad = maxpool1_backward(d_out, idx, slots, height, n_rows)
+        want = np.zeros((n_rows, height, f))
+        for d in range(docs):
+            for j in range(f):
+                for k in range(height):
+                    want[slots[d, idx[d, j] + k], k, j] += d_out[d, j]
+        assert grad.shape == (n_rows, height * f)
+        np.testing.assert_allclose(grad, want.reshape(n_rows, -1), rtol=1e-12,
+                                   atol=1e-12)
+
+
+INNER = (4, 50, 100, 150, 250, 300, 600, 1500)
+COLUMNS = (2, 3, 100, 200, 300, 400, 500, 700, 1200, 3600)
+
+
+def check_rows_product_rows_stand_alone():
+    """Over the grid of inner sizes and column counts, a row of
+    rows_product has the same bytes at any position of its block, beside
+    any neighbours, and alone."""
+    rng = np.random.default_rng(5)
+    for inner in INNER:
+        for cols in COLUMNS:
+            a = rng.normal(0, 1, size=(2 * ROW_BLOCK + 5, inner))
+            b = rng.normal(0, 1, size=(inner, cols))
+            whole = rows_product(a, b)
+            perm = rng.permutation(len(a))
+            assert rows_product(a[perm], b).tobytes() == whole[perm].tobytes(), \
+                (inner, cols, "moved")
+            mine = rng.random(len(a)) < 0.5
+            mixed = np.where(mine[:, None], a, rng.normal(0, 1, size=a.shape))
+            assert rows_product(mixed, b)[mine].tobytes() == whole[mine].tobytes(), \
+                (inner, cols, "neighbours")
+            for i in (0, ROW_BLOCK - 1, len(a) - 1):
+                assert rows_product(a[i : i + 1], b).tobytes() == \
+                    whole[i : i + 1].tobytes(), (inner, cols, "alone")
+
+
+def test_rows_product_rows_do_not_depend_on_their_position():
+    check_rows_product_rows_stand_alone()
+    in_blas_threads(1, "test_nnet", "check_rows_product_rows_stand_alone")
 
 
 def test_softmax_xent_values_and_stability():
