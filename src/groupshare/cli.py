@@ -27,6 +27,7 @@ from .corpus import load_dataset, load_vocabulary, save_vocabulary
 from .evaluation import run_experiment, train_model
 from .files import write_whole
 from .groups import GROUP_KINDS, MESH_PREFIX_DEPTH, load_groups, write_groups_tsv
+from .hashing import routes
 from .model import load_checkpoint, predict, save_checkpoint
 
 
@@ -137,12 +138,9 @@ def _cmd_inspect_sharing(args) -> int:
     print(f"word={args.word} id={wid} groups={len(gids)}")
     for gid in gids:
         print(f"group={gid} key={shared.table.group_keys[gid]}")
-    rows = np.flatnonzero(shared.routing.grouped_ids == wid)
-    row = int(rows[0])
+    flat, signs = routes(shared, np.flatnonzero(shared.routing.grouped_ids == wid))
     print("dim\tgroup_key\tsign")
-    for j in range(shared.dim):
-        gid = int(shared.routing.flat[row, j]) // shared.dim
-        sgn = int(shared.routing.signs[row, j])
+    for j, (gid, sgn) in enumerate(zip(flat[0] // shared.dim, signs[0])):
         print(f"{j}\t{shared.table.group_keys[gid]}\t{'+1' if sgn > 0 else '-1'}")
     return 0
 

@@ -11,7 +11,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .corpus import Dataset, Vocabulary
 from .groups import GroupTable
@@ -82,6 +81,12 @@ def accuracy(y_true, y_pred) -> float:
     return float(np.count_nonzero(y_true == y_pred) / y_true.size)
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values``, tied values sharing their mean rank."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def auc(y_true, scores) -> float:
     """Probability a positive outranks a negative, ties counting half.
 
@@ -98,7 +103,7 @@ def auc(y_true, scores) -> float:
     n = int(np.count_nonzero(y_true == 0))
     if p == 0 or n == 0:
         raise ValueError("metric undefined with a single class")
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     return float((ranks[y_true == 1].sum() - p * (p + 1) / 2.0) / (p * n))
 
 
@@ -247,12 +252,13 @@ def run_experiment(exp: ExperimentConfig, dataset: Dataset, vocab: Vocabulary,
             in_train = np.ones(len(dataset), dtype=bool)
             in_train[test_idx] = False
             train_idx = np.flatnonzero(in_train)
-            if exp.downsampling and np.unique(labels[train_idx]).size != 2:
-                raise ValueError(
-                    f"downsampling needs both classes in every training split; "
-                    f"replication {rep} fold {fold_id} has "
-                    f"{np.unique(labels[train_idx]).size}"
-                )
+            for needs, what, part, idx in (
+                    (exp.downsampling, "downsampling", "training split", train_idx),
+                    (exp.metric == "auc", "metric auc", "test fold", test_idx)):
+                classes = np.unique(labels[idx]).size
+                if needs and classes != 2:
+                    raise ValueError(f"{what} needs both classes in every {part}; "
+                                     f"replication {rep} fold {fold_id} has {classes}")
             splits.append((rep, fold_id, train_idx, test_idx))
 
     report = ExperimentReport(

@@ -67,9 +67,6 @@ class GroupTable:
     def groups_of(self, word_id: int) -> list:
         return self.membership.get(int(word_id), [])
 
-    def grouped_word_ids(self) -> list:
-        return sorted(self.membership)
-
 
 class _TableBuilder:
     def __init__(self, vocab: Vocabulary):

@@ -8,17 +8,19 @@ G(i):
 
     E_shared[i, j] = g[G(i)[h(i, j) mod |G(i)|], j] * sign(i, j)
 
-No grouped row is stored; every read goes through the routing. The same
-routing maps gradients back: every group coordinate accumulates the
-signed gradients of the word coordinates it feeds. Words in no group
-keep a private row that trains independently; with no groups at all the
-embedding is an ordinary free matrix.
+No grouped row or routed coordinate is stored: ``routes`` hashes the
+coordinates of the words a caller reads, where it reads them, and maps
+gradients back: every group coordinate accumulates the signed gradients
+of the word coordinates it feeds. Words in no group keep a private row
+that trains independently; with no groups at all the embedding is an
+ordinary free matrix.
 
 The mixing function is the 64-bit avalanche finalizer used by murmur-type
 hashes (xor-shift and multiply rounds). It is versioned so stored models
 can detect an incompatible routing.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -45,6 +47,8 @@ class HashSpec:
     mixer_version: int = MIXER_VERSION
 
     def __post_init__(self):
+        if not 0 <= operator.index(self.seed) < 1 << 64:
+            raise ValueError(f"hash seed {self.seed} is outside [0, 2**64)")
         if self.mixer_version != MIXER_VERSION:
             raise ValueError(
                 f"unsupported mixer version {self.mixer_version} "
@@ -54,11 +58,11 @@ class HashSpec:
 
 def _fmix64(x: np.ndarray) -> np.ndarray:
     """One avalanche round; its caller ignores the multiplies' overflow."""
-    x = x ^ (x >> _SHIFT)
-    x = x * _M1
-    x = x ^ (x >> _SHIFT)
-    x = x * _M2
-    x = x ^ (x >> _SHIFT)
+    x ^= x >> _SHIFT
+    x *= _M1
+    x ^= x >> _SHIFT
+    x *= _M2
+    x ^= x >> _SHIFT
     return x
 
 
@@ -107,57 +111,36 @@ def _signs(word_id, dim, spec: HashSpec) -> np.ndarray:
 
 @dataclass
 class Routing:
-    """Precomputed coordinate routing for all grouped words.
+    """Which words share and through which groups; no coordinate is stored.
 
     grouped_ids: (G,) ascending word ids that belong to at least one group;
     private_ids: ascending ids of the other words, which keep a private row;
-    signs:       (G, d) int8 sign factor of each coordinate;
-    flat:        (G, d) int64 position, in the flattened (groups, d) group
-                 matrix, of the coordinate feeding each word coordinate:
-                 group id * d + column, so the group id is flat // d.
+    groups:      (G, max groups of a word) int64: row r holds the ascending
+                 group ids of word grouped_ids[r], zero-padded;
+    counts:      (G,) int64 number of groups of each grouped word.
     """
 
     grouped_ids: np.ndarray
     private_ids: np.ndarray
-    signs: np.ndarray
-    flat: np.ndarray
+    groups: np.ndarray
+    counts: np.ndarray
 
 
-def build_routing(table: GroupTable, dim: int, spec: HashSpec) -> Routing:
-    """Vectorized routing for every grouped word over ``dim`` coordinates."""
-    if table.group_count == 0:
-        # a free channel; the work below costs ~100 us on empty arrays
-        return Routing(
-            grouped_ids=np.zeros(0, dtype=np.int64),
-            private_ids=np.arange(table.vocab_size),
-            signs=np.ones((0, dim), dtype=np.int8),
-            flat=np.zeros((0, dim), dtype=np.int64),
-        )
+def build_routing(table: GroupTable) -> Routing:
+    """The grouped and private words of ``table`` and each word's groups."""
     sizes = [len(ws) for ws in table.members]
     words = np.fromiter(chain.from_iterable(table.members), dtype=np.int64,
                         count=sum(sizes))
     gids = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     order = np.lexsort((gids, words))       # by word, then ascending group
-    grouped, first, counts = np.unique(words[order], return_index=True,
-                                       return_counts=True)
-    private = np.setdiff1d(np.arange(table.vocab_size), grouped)
-    # row r holds the ascending group ids of word grouped[r], zero-padded
-    padded = np.zeros((grouped.size, int(counts.max())), dtype=np.int64)
+    per_word = np.bincount(words, minlength=table.vocab_size)
+    grouped, private = np.flatnonzero(per_word), np.flatnonzero(per_word == 0)
+    counts = per_word[grouped]
+    first = np.cumsum(counts) - counts      # where each word starts in order
+    groups = np.zeros((grouped.size, int(counts.max(initial=1))), dtype=np.int64)
     row = np.repeat(np.arange(grouped.size), counts)
-    padded[row, np.arange(words.size) - first[row]] = gids[order]
-    padded *= dim           # group id -> start of its row in the flat matrix
-
-    dims = np.arange(dim, dtype=np.int64)
-    # a word in one group routes every coordinate to it (hash_dim is 0);
-    # the hash picks among the groups of the other words only
-    flat = np.repeat(padded[:, :1], dim, axis=1)
-    multi = np.flatnonzero(counts > 1)
-    bucket = hash_dim(grouped[multi, None], dims[None, :], counts[multi, None], spec)
-    flat[multi] = np.take_along_axis(padded[multi], bucket, axis=1)
-    flat += dims
-    signs = _signs(grouped[:, None], dims[None, :], spec)
-    return Routing(grouped_ids=grouped, private_ids=private, signs=signs,
-                   flat=flat)
+    groups[row, np.arange(words.size) - first[row]] = gids[order]
+    return Routing(grouped, private, groups, counts)
 
 
 @dataclass
@@ -208,6 +191,24 @@ def locate(sorted_ids: np.ndarray, ids) -> tuple:
     return found, at[found]
 
 
+def routes(shared: SharedEmbedding, at) -> tuple:
+    """(flat, signs), each (len(at), d), of the words ``grouped_ids[at]``:
+    where each word coordinate reads in the flattened (groups, d) group
+    matrix (group id * d + column), and its int8 sign factor."""
+    r, dim, spec = shared.routing, shared.dim, shared.spec
+    words, counts = r.grouped_ids[at], r.counts[at]
+    starts = r.groups[at] * dim     # group id -> start of its row in flat
+    dims = np.arange(dim, dtype=np.int64)
+    # a word in one group routes every coordinate to it (hash_dim is 0);
+    # the hash picks among the groups of the other words only
+    flat = np.repeat(starts[:, :1], dim, axis=1)
+    multi = np.flatnonzero(counts > 1)
+    bucket = hash_dim(words[multi, None], dims[None, :], counts[multi, None], spec)
+    flat[multi] = np.take_along_axis(starts[multi], bucket, axis=1)
+    flat += dims
+    return flat, _signs(words[:, None], dims[None, :], spec)
+
+
 def init_shared(table: GroupTable, group_embeddings: GroupEmbeddings,
                 pretrained: np.ndarray, spec: HashSpec) -> SharedEmbedding:
     """Assemble a shared embedding over a group table.
@@ -226,7 +227,7 @@ def init_shared(table: GroupTable, group_embeddings: GroupEmbeddings,
     dim = pretrained.shape[1]
     if group_embeddings.dim != dim:
         raise ValueError("group embedding width does not match pretrained width")
-    routing = build_routing(table, dim, spec)
+    routing = build_routing(table)
     return SharedEmbedding(private=pretrained[routing.private_ids], table=table,
                            groups=group_embeddings, spec=spec, routing=routing)
 
@@ -236,11 +237,9 @@ def unshared(values: np.ndarray, spec: HashSpec) -> SharedEmbedding:
     ``values`` itself: it trains as a free matrix."""
     vocab_size, dim = values.shape
     table = GroupTable(vocab_size, [], [])
-    return SharedEmbedding(
-        private=values, table=table,
-        groups=GroupEmbeddings(vectors=np.zeros((0, dim))), spec=spec,
-        routing=build_routing(table, dim, spec),
-    )
+    return SharedEmbedding(private=values, table=table, spec=spec,
+                           groups=GroupEmbeddings(vectors=np.zeros((0, dim))),
+                           routing=build_routing(table))
 
 
 # Rows per pass of sync_forward: a whole-matrix read holds temporaries of
@@ -250,7 +249,7 @@ GATHER_ROWS = 1024
 
 def sync_forward(shared: SharedEmbedding, words=None) -> np.ndarray:
     """The embedding rows of the ascending ids ``words`` (None: every row).
-    A grouped coordinate is ``take(vectors, flat) * signs``."""
+    A grouped coordinate is ``take(vectors, flat) * signs`` (see routes)."""
     r = shared.routing
     words = np.arange(shared.table.vocab_size) if words is None else np.asarray(words)
     out = np.empty((words.size, shared.dim))
@@ -259,7 +258,8 @@ def sync_forward(shared: SharedEmbedding, words=None) -> np.ndarray:
         which, at = locate(r.private_ids, block)
         dest[which] = shared.private[at]
         which, at = locate(r.grouped_ids, block)
-        dest[which] = np.take(shared.groups.vectors, r.flat[at]) * r.signs[at]
+        flat, signs = routes(shared, at)
+        dest[which] = np.take(shared.groups.vectors, flat) * signs
     return out
 
 
@@ -281,9 +281,8 @@ def aggregate_gradients(grad_rows: np.ndarray, words,
     if grad_rows.shape != (words.size, dim):
         raise ValueError("gradient shape does not match the words and the "
                          "embedding width")
-    r = shared.routing
-    which, at = locate(r.grouped_ids, words)
-    feeding = r.flat[at]
+    which, at = locate(shared.routing.grouped_ids, words)
+    feeding, signs = routes(shared, at)
     feeding //= dim
     touched = np.zeros(n, dtype=bool)
     touched[feeding] = True
@@ -293,7 +292,7 @@ def aggregate_gradients(grad_rows: np.ndarray, words,
     flat = local[feeding]
     flat *= dim
     flat += np.arange(dim)
-    signed = grad_rows[which] * r.signs[at]
+    signed = grad_rows[which] * signs
     out = np.bincount(flat.ravel(), weights=signed.ravel(),
                       minlength=groups.size * dim)
     return groups, out.reshape(groups.size, dim)

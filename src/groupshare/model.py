@@ -700,7 +700,7 @@ def _restore(path, header: dict, tensors: dict):
             private=tensor("ch2/private_values", (None, dim)), table=table,
             groups=GroupEmbeddings(
                 vectors=tensor("group/vectors", (len(group_keys), dim))),
-            spec=spec, routing=build_routing(table, dim, spec),
+            spec=spec, routing=build_routing(table),
         )
 
     params = ModelParams(

@@ -220,6 +220,37 @@ def test_inspect_sharing(tmp_path, capsys):
     assert "not in the vocabulary" in capsys.readouterr().err
 
 
+def test_inspect_sharing_of_a_word_in_several_groups(tmp_path, capsys):
+    # every dim line against the scalar hash_dim / sign oracle
+    from groupshare.hashing import hash_dim, sign
+
+    data, groups = write_dataset(tmp_path)
+    with open(groups, "a") as f:
+        f.write("strong\tgreat\nstrong\tawful\nmixed\tgreat\nmixed\tpoor\n")
+    cfg = write_config(tmp_path, data, groups, embedding_dim=9)
+    ckpt = tmp_path / "model.ckpt"
+    main(["train", "--config", str(cfg), "--out", str(ckpt)])
+    capsys.readouterr()
+    params, _ = load_checkpoint(str(ckpt))
+    shared = params.ch2
+    wid = params.vocab.lookup("great")
+    gids = shared.table.groups_of(wid)
+    assert len(gids) == 3
+    assert main(["inspect-sharing", "--checkpoint", str(ckpt),
+                 "--word", "great"]) == 0
+    out = capsys.readouterr().out
+    assert f"groups={len(gids)}" in out
+    dim_lines = [l for l in out.splitlines() if l and l[0].isdigit()]
+    assert len(dim_lines) == 9
+    picked = set()
+    for j, line in enumerate(dim_lines):
+        gid = gids[hash_dim(wid, j, len(gids), shared.spec)]
+        sgn = "+1" if sign(wid, j, shared.spec) > 0 else "-1"
+        assert line == f"{j}\t{shared.table.group_keys[gid]}\t{sgn}"
+        picked.add(gid)
+    assert len(picked) > 1
+
+
 def test_inspect_sharing_needs_shared_checkpoint(tmp_path, capsys):
     data, groups = write_dataset(tmp_path)
     cfg = write_config(tmp_path, data, groups, mode="none")

@@ -1,7 +1,11 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +16,7 @@ from groupshare.evaluation import (
     FoldRecord,
     accuracy,
     auc,
+    average_ranks,
     downsample,
     kfold_split,
     run_experiment,
@@ -175,6 +180,24 @@ def test_auc_matches_pair_counting_oracle():
         assert auc(y, scores) == pair_count_auc(y, scores)
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, 0.5, 1.0]),
+                       min_size=1, max_size=60))
+def test_average_ranks_match_scipy_rankdata(values):
+    # drawing from three fixed values as well forces ties
+    values = np.array(values)
+    assert average_ranks(values).tobytes() == scipy.stats.rankdata(values).tobytes()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    code = ("import sys, groupshare.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]
+
+
 def test_auc_edge_cases():
     y = np.array([0, 0, 1, 1])
     assert auc(y, np.array([0.1, 0.2, 0.8, 0.9])) == 1.0
@@ -303,6 +326,24 @@ def test_downsampling_is_checked_before_any_training(monkeypatch):
     exp = dataclasses.replace(exp, model=dataclasses.replace(exp.model, num_classes=3))
     with pytest.raises(ValueError, match="downsampling needs two classes"):
         run_experiment(exp, three, vocab, pretrained)
+
+
+def test_auc_with_a_single_class_test_fold_fails_before_any_training(monkeypatch):
+    from groupshare import evaluation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a fold was trained")
+
+    monkeypatch.setattr(evaluation, "train_model", never)
+    exp, ds, vocab, pretrained = small_experiment(metric="auc")
+    exp = dataclasses.replace(exp, stratified=False)
+    # one document of class 1: every test fold but one lacks class 1
+    labels = np.zeros(len(ds), dtype=np.int64)
+    labels[-1] = 1
+    skewed = Dataset(documents=ds.documents, labels=labels, num_classes=2)
+    with pytest.raises(ValueError, match=r"both classes in every test fold; "
+                                         r"replication 0 fold \d+ has 1"):
+        run_experiment(exp, skewed, vocab, pretrained)
 
 
 def test_run_experiment_with_downsampling():

@@ -25,7 +25,7 @@ def test_tsv_groups_basic():
     assert table.members == [[0, 1], [2]]  # ascending word ids, dedup applied
     assert table.groups_of(0) == [0]
     assert table.groups_of(3) == []
-    assert table.grouped_word_ids() == [0, 1, 2]
+    assert sorted(table.membership) == [0, 1, 2]
 
 
 def test_tsv_groups_skips_oov_and_counts_them():
@@ -168,7 +168,7 @@ def test_constructor_derives_membership():
     table = GroupTable(vocab.num_rows, ["g", "h"], [[0, 2], [2]])
     assert table.membership == built.membership == {0: [0], 2: [0, 1]}
     assert table.members == built.members
-    assert table.grouped_word_ids() == [0, 2]
+    assert sorted(table.membership) == [0, 2]
     assert GroupTable(vocab.num_rows, [], []).membership == {}
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from groupshare.hashing import (
     build_routing,
     hash_dim,
     init_shared,
+    routes,
     sign,
     sync_forward,
     unshared,
@@ -100,6 +103,16 @@ def test_mixer_version_is_checked():
         HashSpec(seed=0, mixer_version=MIXER_VERSION + 1)
 
 
+def test_hash_seed_must_be_a_64_bit_integer():
+    assert HashSpec(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="hash seed"):
+            HashSpec(seed=bad)
+    for bad in (None, 1.5, "3"):
+        with pytest.raises(TypeError):
+            HashSpec(seed=bad)
+
+
 def test_bit_flips_avalanche():
     # flipping one input bit should flip roughly half the output bits
     from groupshare.hashing import _mix
@@ -125,19 +138,51 @@ def _random_table(rng, n_words_lo=5, n_words_hi=30):
 
 
 def test_routing_matches_scalar_hashes():
+    # routes over every grouped row against scalar loops, and over a random
+    # subset of rows against those rows of the whole
     rng = np.random.default_rng(222)
     for trial in range(15):
         vocab, table = _random_table(rng)
         dim = int(rng.integers(1, 10))
         spec = HashSpec(seed=int(rng.integers(0, 1 << 32)))
-        routing = build_routing(table, dim, spec)
-        assert list(routing.grouped_ids) == table.grouped_word_ids()
-        for row, w in enumerate(routing.grouped_ids):
+        pretrained = rng.normal(0, 1, size=(vocab.num_rows, dim))
+        shared = init_shared(table, init_group_embeddings(table, pretrained),
+                             pretrained, spec)
+        grouped = shared.routing.grouped_ids
+        assert list(grouped) == sorted(table.membership)
+        flat, signs = routes(shared, np.arange(grouped.size))
+        assert flat.shape == signs.shape == (grouped.size, dim)
+        for row, w in enumerate(grouped):
             gids = table.groups_of(int(w))
             for j in range(dim):
                 pick = hash_dim(int(w), j, len(gids), spec)
-                assert routing.flat[row, j] == gids[pick] * dim + j
-                assert routing.signs[row, j] == sign(int(w), j, spec)
+                assert flat[row, j] == gids[pick] * dim + j
+                assert signs[row, j] == sign(int(w), j, spec)
+        some = rng.permutation(grouped.size)[: int(rng.integers(0, grouped.size + 1))]
+        some_flat, some_signs = routes(shared, some)
+        assert some_flat.tobytes() == flat[some].tobytes()
+        assert some_signs.tobytes() == signs[some].tobytes()
+
+
+def test_routing_keeps_each_words_groups_and_no_coordinates():
+    rng = np.random.default_rng(223)
+    tables = [_random_table(rng)[1] for _ in range(10)]
+    tables.append(GroupTable(7, [], []))
+    for table in tables:
+        r = build_routing(table)
+        assert {f.name for f in dataclasses.fields(r)} == {
+            "grouped_ids", "private_ids", "groups", "counts"}
+        grouped = sorted(table.membership)
+        width = max([len(table.groups_of(w)) for w in grouped], default=0)
+        assert r.grouped_ids.tolist() == grouped
+        assert r.private_ids.tolist() == sorted(
+            set(range(table.vocab_size)) - set(grouped))
+        assert r.counts.tolist() == [len(table.groups_of(w)) for w in grouped]
+        for row, w in enumerate(grouped):
+            gids = table.groups_of(w)
+            assert r.groups[row, : len(gids)].tolist() == gids
+        for arr in (r.grouped_ids, r.groups, r.counts):
+            assert arr.size <= len(grouped) * max(width, 1)
 
 
 def test_shared_embedding_values_follow_routing():
@@ -149,7 +194,7 @@ def test_shared_embedding_values_follow_routing():
         spec = HashSpec(seed=trial)
         groups_emb = init_group_embeddings(table, pretrained)
         shared = init_shared(table, groups_emb, pretrained, spec)
-        grouped = set(table.grouped_word_ids())
+        grouped = set(table.membership)
         for w in range(vocab.num_rows):
             if w in grouped:
                 gids = table.groups_of(w)
@@ -173,11 +218,11 @@ def test_sync_refreshes_grouped_rows_only():
     values = sync_forward(shared)
     np.testing.assert_array_equal(values[shared.private_ids], before_private)
     grouped = shared.routing.grouped_ids
+    flat, signs = routes(shared, np.arange(grouped.size))
     for row, w in enumerate(grouped):
         for j in range(dim):
-            g = shared.routing.flat[row, j] // dim
-            s = shared.routing.signs[row, j]
-            assert values[w, j] == shared.groups.vectors[g, j] * s
+            g = flat[row, j] // dim
+            assert values[w, j] == shared.groups.vectors[g, j] * signs[row, j]
 
 
 def test_degenerate_singletons_without_signing_reproduce_pretrained():
@@ -220,7 +265,7 @@ def _loop_aggregate(grad, shared):
     """Scalar loops over words and coordinates: the oracle."""
     table, spec = shared.table, shared.spec
     expected = np.zeros_like(shared.groups.vectors)
-    for w in table.grouped_word_ids():  # ascending word ids
+    for w in sorted(table.membership):  # ascending word ids
         gids = table.groups_of(w)
         for j in range(shared.dim):
             pick = gids[hash_dim(w, j, len(gids), spec)]
@@ -230,10 +275,11 @@ def _loop_aggregate(grad, shared):
 
 def _dense_aggregate(grad, shared):
     """One bincount over every grouped word, zero rows included."""
-    r = shared.routing
+    grouped = shared.routing.grouped_ids
+    flat, signs = routes(shared, np.arange(grouped.size))
     n, dim = shared.groups.vectors.shape
-    signed = grad[r.grouped_ids] * r.signs
-    out = np.bincount(r.flat.ravel(), weights=signed.ravel(), minlength=n * dim)
+    signed = grad[grouped] * signs
+    out = np.bincount(flat.ravel(), weights=signed.ravel(), minlength=n * dim)
     return out.reshape(n, dim)
 
 
@@ -265,8 +311,8 @@ def test_aggregate_skipping_zero_rows_matches_dense_bytes(seed, dim, word_share,
     grad = np.zeros((n, dim))
     grad[words] = rows
     groups, got_rows = aggregate_gradients(rows, words, shared)
-    r = shared.routing
-    fed = r.flat[np.isin(r.grouped_ids, words)] // dim
+    flat, _ = routes(shared, np.flatnonzero(np.isin(shared.routing.grouped_ids, words)))
+    fed = flat // dim
     np.testing.assert_array_equal(groups, np.unique(fed))
     got = np.zeros_like(shared.groups.vectors)
     got[groups] = got_rows

@@ -611,7 +611,7 @@ def test_every_second_channel_mode_stores_one_layout():
                                   "group_init_share"])
 def test_private_rows_are_the_ungrouped_words(mode, tmp_path):
     params, _, _, vocab, _, table = tiny_setup(seed=4, mode=mode)
-    grouped = set(table.grouped_word_ids()) if mode == "group_init_share" else set()
+    grouped = set(table.membership) if mode == "group_init_share" else set()
     expected = [w for w in range(vocab.num_rows) if w not in grouped]
     assert {vocab.unk_id, vocab.pad_id} <= set(expected)
     np.testing.assert_array_equal(params.ch2.private_ids, expected)

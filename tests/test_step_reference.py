@@ -18,6 +18,7 @@ import pytest
 from groupshare import model
 from groupshare.corpus import random_pretrained
 from groupshare.groups import groups_from_tsv
+from groupshare.hashing import routes
 from groupshare.seeding import make_rng
 from helpers import dense_gradients, random_group_tsv, random_words, vocab_of
 
@@ -36,19 +37,21 @@ def dense_adadelta(param, grad, state, rho, eps):
 def dense_matrix(shared):
     """The whole second-channel matrix: the private rows, and every
     grouped coordinate read from its group row."""
-    r = shared.routing
+    grouped = shared.routing.grouped_ids
+    flat, signs = routes(shared, np.arange(grouped.size))
     out = np.zeros((shared.table.vocab_size, shared.dim))
     out[shared.private_ids] = shared.private
     dims = np.arange(shared.dim)[None, :]
-    out[r.grouped_ids] = shared.groups.vectors[r.flat // shared.dim, dims] * r.signs
+    out[grouped] = shared.groups.vectors[flat // shared.dim, dims] * signs
     return out
 
 
 def dense_aggregate(grad, shared):
-    r = shared.routing
+    grouped = shared.routing.grouped_ids
+    flat, signs = routes(shared, np.arange(grouped.size))
     n, dim = shared.groups.vectors.shape
-    signed = grad[r.grouped_ids] * r.signs
-    out = np.bincount(r.flat.ravel(), weights=signed.ravel(), minlength=n * dim)
+    signed = grad[grouped] * signs
+    out = np.bincount(flat.ravel(), weights=signed.ravel(), minlength=n * dim)
     return out.reshape(n, dim)
 
 
