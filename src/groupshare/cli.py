@@ -14,6 +14,7 @@ reason to stderr.
 import argparse
 import sys
 from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -55,18 +56,24 @@ def _cmd_build_groups(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
+def _run_inputs(args):
+    """(experiment config, dataset, vocab, pretrained, group table) of the
+    run config ``args.config``."""
     run = load_config(args.config)
     dataset, vocab, pretrained, group_table = load_run_inputs(run)
     config = model_config(run, dataset.num_classes, pretrained.shape[1])
-    exp = experiment_config(run, config)
+    return experiment_config(run, config), dataset, vocab, pretrained, group_table
+
+
+def _cmd_train(args) -> int:
+    exp, dataset, vocab, pretrained, group_table = _run_inputs(args)
     all_idx = np.arange(len(dataset), dtype=np.int64)
 
     def log(epoch, loss):
         print(f"epoch={epoch} loss={loss:.6f}")
 
     params, opt = train_model(
-        config, dataset, vocab, pretrained, all_idx, exp,
+        exp.model, dataset, vocab, pretrained, all_idx, exp,
         group_table=group_table, log=log,
     )
     save_checkpoint(args.out, params, opt)
@@ -75,50 +82,37 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    run = load_config(args.config)
-    dataset, vocab, pretrained, group_table = load_run_inputs(run)
-    config = model_config(run, dataset.num_classes, pretrained.shape[1])
-    exp = experiment_config(run, config)
-    report = run_experiment(exp, dataset, vocab, pretrained, group_table)
-    text = report.render()
+    with write_whole(args.out) if args.out else nullcontext() as out:
+        text = run_experiment(*_run_inputs(args)).render()
+        if out:
+            out.write(text)
     sys.stdout.write(text)
-    if args.out:
-        with write_whole(args.out) as f:
-            f.write(text)
     return 0
 
 
 def _cmd_predict(args) -> int:
-    params, _ = load_checkpoint(args.checkpoint)
-    vocab = params.vocab
-    if args.vocab:
-        external = load_vocabulary(args.vocab)
-        if external.content_hash() != vocab.content_hash():
+    with write_whole(args.out) as out:
+        params, _ = load_checkpoint(args.checkpoint)
+        vocab = params.vocab
+        if args.vocab and load_vocabulary(args.vocab) != vocab:
             raise ValueError(
-                "vocabulary file does not match the checkpoint vocabulary"
-            )
-    docs = []
-    with open(args.input, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            tokens = line.split()
-            if not tokens:
-                raise ValueError(f"line {lineno}: empty document")
-            docs.append(
-                np.array(
-                    [vocab.index.get(t, vocab.unk_id) for t in tokens],
-                    dtype=np.int64,
-                )
-            )
-    if not docs:
-        raise ValueError("input file holds no documents")
-    labels, probs = predict(params, docs)
-    if params.config.num_classes == 2:
-        scores = probs[:, 1]
-    else:
-        scores = probs.max(axis=1)
-    with write_whole(args.out) as f:
+                "vocabulary file does not match the checkpoint vocabulary")
+        docs = []
+        with open(args.input, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                tokens = line.split()
+                if not tokens:
+                    raise ValueError(f"line {lineno}: empty document")
+                docs.append(vocab.ids(tokens))
+        if not docs:
+            raise ValueError("input file holds no documents")
+        labels, probs = predict(params, docs)
+        if params.config.num_classes == 2:
+            scores = probs[:, 1]
+        else:
+            scores = probs.max(axis=1)
         for label, score in zip(labels, scores):
-            f.write(f"{int(label)}\t{score:.6f}\n")
+            out.write(f"{int(label)}\t{score:.6f}\n")
     print(f"predicted={len(docs)}")
     return 0
 

@@ -32,11 +32,23 @@ class Vocabulary:
     """Bijection between corpus tokens and dense integer ids.
 
     Token ids occupy [0, num_tokens); the UNK and PAD rows sit at
-    num_tokens and num_tokens + 1.
+    num_tokens and num_tokens + 1. ``words`` must be non-empty, distinct
+    and free of the reserved tokens; ``index`` is derived from it.
     """
 
     words: tuple
-    index: dict = field(repr=False)
+    index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "words", tuple(self.words))
+        object.__setattr__(self, "index", {w: i for i, w in enumerate(self.words)})
+        if not self.words:
+            raise ValueError("vocabulary is empty")
+        if len(self.index) != len(self.words):
+            raise ValueError("vocabulary contains duplicate tokens")
+        for w in _RESERVED:
+            if w in self.index:
+                raise ValueError(f"vocabulary contains reserved token {w!r}")
 
     @property
     def num_tokens(self) -> int:
@@ -63,6 +75,11 @@ class Vocabulary:
             return self.pad_id
         return self.index.get(word)
 
+    def ids(self, tokens) -> np.ndarray:
+        """int64 ids of ``tokens``; a token outside the vocabulary reads UNK."""
+        unk = self.unk_id
+        return np.array([self.index.get(t, unk) for t in tokens], dtype=np.int64)
+
     def content_hash(self) -> str:
         """SHA-256 of the words in id order, each followed by a newline."""
         text = "\n".join(self.words + ("",))
@@ -86,17 +103,7 @@ def build_vocabulary(docs) -> Vocabulary:
     in order of first occurrence."""
     if not docs:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    seen = {}
-    for doc in docs:
-        for tok in doc:
-            if tok in _RESERVED:
-                raise ValueError(f"corpus contains reserved token {tok!r}")
-            if tok not in seen:
-                seen[tok] = len(seen)
-    if not seen:
-        raise ValueError("corpus has no tokens")
-    words = tuple(seen)
-    return Vocabulary(words=words, index={w: i for i, w in enumerate(words)})
+    return Vocabulary(tuple(dict.fromkeys(tok for doc in docs for tok in doc)))
 
 
 def parse_line(line: str, lineno: int):
@@ -127,11 +134,8 @@ def encode(lines, vocab: Vocabulary) -> Dataset:
         if not line:
             continue
         label, tokens = parse_line(line, lineno)
-        ids = np.array(
-            [vocab.index.get(t, vocab.unk_id) for t in tokens], dtype=np.int64
-        )
         raw_labels.append(label)
-        documents.append(ids)
+        documents.append(vocab.ids(tokens))
     if not documents:
         raise ValueError("dataset is empty")
 
@@ -293,11 +297,7 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 def load_vocabulary(path) -> Vocabulary:
     with open(path, "r", encoding="utf-8") as f:
         words = [ln.rstrip("\n") for ln in f if ln.rstrip("\n")]
-    if not words:
-        raise ValueError(f"vocabulary file {path} is empty")
-    if len(set(words)) != len(words):
-        raise ValueError(f"vocabulary file {path} contains duplicate tokens")
-    for w in words:
-        if w in _RESERVED:
-            raise ValueError(f"vocabulary file {path} lists reserved token {w!r}")
-    return Vocabulary(words=tuple(words), index={w: i for i, w in enumerate(words)})
+    try:
+        return Vocabulary(tuple(words))
+    except ValueError as e:
+        raise ValueError(f"vocabulary file {path}: {e}") from None

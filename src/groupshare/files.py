@@ -15,12 +15,16 @@ def write_whole(path, binary: bool = False):
     replaces ``path`` when the block ends; if anything fails first, the
     temporary file is removed and ``path`` keeps its old bytes. A
     symlinked ``path`` is written through, and a replaced file keeps its
-    permissions.
+    permissions. An unwritable target fails at once, naming ``path``.
     """
-    path = os.path.realpath(path)
+    target, path = path, os.path.realpath(path)
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
-        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8") as f:
+        f = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    except OSError as e:
+        raise OSError(f"cannot write {target}: {e.strerror or e}") from e
+    try:
+        with f:
             yield f
         if os.path.exists(path):
             shutil.copymode(path, tmp)

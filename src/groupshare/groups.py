@@ -18,6 +18,7 @@ and counted. Empty groups are never materialized.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -33,7 +34,9 @@ class GroupTable:
     no group is empty and every id lies in [0, vocab_size). Construction
     checks this and derives ``membership`` (word id -> ascending group
     ids) in the same pass over the members, so a table that exists is
-    valid and its two views agree.
+    valid and its views agree. The int64 array ``flat`` holds the members
+    of every group in group-id order, group g's at
+    ``flat[offsets[g]:offsets[g + 1]]``.
     """
 
     vocab_size: int
@@ -42,6 +45,8 @@ class GroupTable:
     oov_skipped: int = 0
     multiword_skipped: int = 0
     membership: dict = field(init=False, repr=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.group_keys) != len(self.members):
@@ -59,6 +64,10 @@ class GroupTable:
                 prev = w
                 membership.setdefault(w, []).append(gid)
         self.membership = membership
+        self.offsets = np.cumsum([0] + [len(ws) for ws in self.members],
+                                 dtype=np.int64)
+        self.flat = np.fromiter(chain.from_iterable(self.members), dtype=np.int64,
+                                count=int(self.offsets[-1]))
 
     @property
     def group_count(self) -> int:
@@ -73,7 +82,6 @@ class _TableBuilder:
         self.vocab = vocab
         self.key_to_gid = {}
         self.group_keys = []
-        self.pairs = set()
         self.members = []
         self.oov_skipped_words = set()
         self.multiword_skipped = 0
@@ -89,9 +97,6 @@ class _TableBuilder:
             self.key_to_gid[key] = gid
             self.group_keys.append(key)
             self.members.append([])
-        if (gid, wid) in self.pairs:
-            return
-        self.pairs.add((gid, wid))
         self.members[gid].append(wid)
 
     def finish(self) -> GroupTable:
@@ -99,7 +104,7 @@ class _TableBuilder:
         # member, so no group is empty
         return GroupTable(
             self.vocab.num_rows, self.group_keys,
-            [sorted(ws) for ws in self.members],
+            [sorted(set(ws)) for ws in self.members],
             oov_skipped=len(self.oov_skipped_words),
             multiword_skipped=self.multiword_skipped,
         )

@@ -22,7 +22,6 @@ can detect an incompatible routing.
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -128,10 +127,8 @@ class Routing:
 
 def build_routing(table: GroupTable) -> Routing:
     """The grouped and private words of ``table`` and each word's groups."""
-    sizes = [len(ws) for ws in table.members]
-    words = np.fromiter(chain.from_iterable(table.members), dtype=np.int64,
-                        count=sum(sizes))
-    gids = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    words = table.flat
+    gids = np.repeat(np.arange(table.group_count), np.diff(table.offsets))
     order = np.lexsort((gids, words))       # by word, then ascending group
     per_word = np.bincount(words, minlength=table.vocab_size)
     grouped, private = np.flatnonzero(per_word), np.flatnonzero(per_word == 0)

@@ -134,6 +134,12 @@ class ModelParams:
         return None if self.ch2 is None else self.ch2.values
 
 
+def hash_spec(config: ModelConfig) -> HashSpec:
+    """The routing's hash spec: the config's seed and signing switch."""
+    return HashSpec(seed=derive_seed(config.seed, "hash"),
+                    signing_enabled=config.signing_enabled)
+
+
 def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
                 group_table: GroupTable = None) -> ModelParams:
     """Build fresh parameters; all randomness derives from config.seed."""
@@ -147,8 +153,7 @@ def init_params(config: ModelConfig, vocab: Vocabulary, pretrained: np.ndarray,
     emb_p = pretrained.copy()
 
     mode = config.channel2_mode
-    spec = HashSpec(seed=derive_seed(config.seed, "hash"),
-                    signing_enabled=config.signing_enabled)
+    spec = hash_spec(config)
     if mode in GROUPED_MODES:
         if group_table is None:
             raise ValueError(f"channel2_mode {mode!r} needs a group table")
@@ -339,7 +344,7 @@ def zero_gradients(params: ModelParams, n_rows: int) -> dict:
 
 
 def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
-             grads: dict, at=slice(None)) -> None:
+             grads: dict, at: np.ndarray) -> None:
     """Accumulate the gradients of a block's summed loss into ``grads``;
     ``d_logits`` is (documents, classes), and ``at`` gives the embedding
     gradient rows of the ``words`` that ``forward`` was given."""
@@ -380,10 +385,7 @@ def batch_gradients(params: ModelParams, docs, labels,
         raise ValueError("documents and labels disagree in length")
     labels = np.asarray(labels, dtype=np.int64)
     parts = list(blocks(params, docs))
-    if len(parts) == 1:
-        words = parts[0][2]
-    else:
-        words = distinct_words([block_words for _, _, block_words in parts])
+    words = distinct_words([block_words for _, _, block_words in parts])
     grads = zero_gradients(params, len(words))
     total_loss = 0.0
     for start, ids, block_words in parts:
@@ -393,8 +395,8 @@ def batch_gradients(params: ModelParams, docs, labels,
                                 dropout_rng=dropout_rng)
         loss, probs = softmax_xent(logits, block_labels)
         total_loss += loss.sum()
-        at = slice(None) if len(parts) == 1 else np.searchsorted(words, block_words)
-        backward(softmax_xent_backward(probs, block_labels), cache, params, grads, at)
+        backward(softmax_xent_backward(probs, block_labels), cache, params, grads,
+                 np.searchsorted(words, block_words))
     scale = 1.0 / len(docs)
     for grad in grads.values():
         grad *= scale
@@ -527,13 +529,9 @@ def _parameters(params: ModelParams) -> list:
 def _collect_tensors(params: ModelParams, opt: Optimizer):
     tensors = [(name, t) for _, name, t in _parameters(params)]
     if params.ch2 is not None:
-        members = params.ch2.table.members
+        table = params.ch2.table
         tensors[1:1] = [        # the group structure follows emb_p
-            ("group/members_flat",
-             np.array([w for ws in members for w in ws], dtype=np.int64)),
-            ("group/offsets",
-             np.cumsum([0] + [len(ws) for ws in members], dtype=np.int64)),
-        ]
+            ("group/members_flat", table.flat), ("group/offsets", table.offsets)]
     for name in sorted(opt.states):
         st = opt.states[name]
         tensors.append((f"opt/{name}/sq_grad", st.sq_grad))
@@ -641,11 +639,8 @@ def load_checkpoint(path):
 
 
 def _restore(path, header: dict, tensors: dict):
-    cfg_dict = dict(header["config"])
-    cfg_dict["filter_heights"] = tuple(cfg_dict["filter_heights"])
-    config = ModelConfig(**cfg_dict)
-    words = tuple(header["vocab_words"])
-    vocab = Vocabulary(words=words, index={w: i for i, w in enumerate(words)})
+    config = ModelConfig(**header["config"])
+    vocab = Vocabulary(header["vocab_words"])
     if vocab.content_hash() != header["vocab_hash"]:
         raise CheckpointError(f"{path}: vocabulary hash mismatch")
     step_count = header["step_count"]
@@ -695,7 +690,9 @@ def _restore(path, header: dict, tensors: dict):
         )
         if table.group_count and mode != "group_init_share":
             raise CheckpointError(f"{path}: a {mode} channel has groups")
-        spec = HashSpec(**header["hash_spec"])
+        spec = hash_spec(config)
+        if HashSpec(**header["hash_spec"]) != spec:
+            raise CheckpointError(f"{path}: hash_spec does not match the config")
         ch2 = SharedEmbedding(
             private=tensor("ch2/private_values", (None, dim)), table=table,
             groups=GroupEmbeddings(

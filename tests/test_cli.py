@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from groupshare import cli
 from groupshare.cli import main
 from groupshare.model import load_checkpoint
 
@@ -269,3 +272,23 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert main(["predict", "--checkpoint", str(tmp_path / "nope.ckpt"),
                  "--input", str(tmp_path / "a"), "--out", str(tmp_path / "b")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, loader", [("predict", "load_checkpoint"),
+                                             ("evaluate", "load_run_inputs")])
+def test_an_unwritable_out_fails_before_any_input_is_read(
+        command, loader, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{loader} was called")
+
+    monkeypatch.setattr(cli, loader, refuse)
+    if command == "predict":
+        inputs = ["--checkpoint", str(tmp_path / "m.ckpt"),
+                  "--input", str(tmp_path / "docs.txt")]
+    else:
+        inputs = ["--config", str(write_config(tmp_path, *write_dataset(tmp_path)))]
+    before = sorted(os.listdir(tmp_path))
+    out = tmp_path / "missing" / "out.txt"
+    assert main([command, *inputs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert sorted(os.listdir(tmp_path)) == before

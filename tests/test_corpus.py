@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import re
+
 from groupshare.corpus import (
     PAD_TOKEN,
     UNK_TOKEN,
+    Vocabulary,
     build_vocabulary,
     encode,
     load_dataset,
@@ -238,3 +241,21 @@ def test_vocabulary_file_round_trip(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_vocabulary(empty)
+
+
+def test_vocabulary_derives_its_index_and_refuses_bad_words(tmp_path):
+    vocab = Vocabulary(["a", "b"])
+    assert vocab.words == ("a", "b") and vocab.index == {"a": 0, "b": 1}
+    assert vocab == vocab_of(["a", "b"]) != Vocabulary(["b", "a"])
+    ids = vocab.ids(["b", "zzz", "a", UNK_TOKEN])
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [1, vocab.unk_id, 0, vocab.unk_id]
+    for words, message in [((), "empty"), (("a", "b", "a"), "duplicate"),
+                           (("a", UNK_TOKEN), "reserved"),
+                           ((PAD_TOKEN,), "reserved")]:
+        with pytest.raises(ValueError, match=message):
+            Vocabulary(words)
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"a\n{UNK_TOKEN}\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*reserved"):
+        load_vocabulary(path)

@@ -103,3 +103,11 @@ def test_a_replaced_file_keeps_its_link_and_permissions(tmp_path):
     assert link.is_symlink() and real.read_text() == "new\n"
     assert real.stat().st_mode & 0o777 == 0o600
     assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+def test_an_unwritable_target_fails_at_once_naming_it(tmp_path):
+    out = tmp_path / "missing" / "out.txt"
+    with pytest.raises(OSError, match=f"cannot write {out}: No such file"):
+        with files.write_whole(out):
+            pytest.fail("the block ran")
+    assert os.listdir(tmp_path) == []

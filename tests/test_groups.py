@@ -170,6 +170,13 @@ def test_constructor_derives_membership():
     assert table.members == built.members
     assert sorted(table.membership) == [0, 2]
     assert GroupTable(vocab.num_rows, [], []).membership == {}
+    # the members as one array, group g's at flat[offsets[g]:offsets[g + 1]]
+    for t, flat, offsets in [(table, [0, 2, 2], [0, 2, 3]),
+                             (GroupTable(vocab.num_rows, [], []), [], [0])]:
+        assert t.flat.dtype == t.offsets.dtype == np.int64
+        np.testing.assert_array_equal(t.flat, flat)
+        np.testing.assert_array_equal(t.offsets, offsets)
+    assert table == built == GroupTable(vocab.num_rows, ["g", "h"], [[0, 2], [2]])
 
 
 def test_group_tsv_dump_round_trips(tmp_path):

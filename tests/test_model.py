@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import struct
@@ -675,4 +676,35 @@ def test_checkpoint_with_bad_optimizer_settings_is_rejected(settings, tmp_path):
     # json.dumps writes NaN, which json.loads reads back
     path.write_bytes(_join(json.dumps(header).encode("utf-8"), payload))
     with pytest.raises(CheckpointError, match="rho|eps"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change", ["seed", "signing_enabled"])
+def test_checkpoint_whose_hash_spec_disagrees_with_its_config_is_rejected(
+        change, tmp_path):
+    header, payload = _split(_checkpoint_bytes("group_init_share"))
+    spec = header["hash_spec"]
+    if change == "seed":
+        spec["seed"] += 1
+    else:
+        spec["signing_enabled"] = not spec["signing_enabled"]
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_join(json.dumps(header).encode("utf-8"), payload))
+    with pytest.raises(CheckpointError, match="hash_spec"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change, message", [("repeat", "duplicate"),
+                                             ("pad", "reserved")])
+def test_checkpoint_with_a_repeated_or_reserved_word_is_rejected(
+        change, message, tmp_path):
+    # with a matching vocab_hash, so that only the words themselves are wrong
+    header, payload = _split(_checkpoint_bytes("group_init_share"))
+    words = header["vocab_words"]
+    words[0] = words[1] if change == "repeat" else "<pad>"
+    header["vocab_hash"] = hashlib.sha256(
+        "\n".join(words + [""]).encode("utf-8")).hexdigest()
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_join(json.dumps(header).encode("utf-8"), payload))
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
