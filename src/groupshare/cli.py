@@ -29,20 +29,22 @@ from .evaluation import run_experiment, train_model
 from .files import write_whole
 from .groups import GROUP_KINDS, MESH_PREFIX_DEPTH, load_groups, write_groups_tsv
 from .hashing import routes
-from .model import load_checkpoint, predict, save_checkpoint
+from .model import load_checkpoint, predict, write_checkpoint
 
 
 def _cmd_build_vocab(args) -> int:
-    _, vocab = load_dataset(args.dataset)
-    save_vocabulary(vocab, args.out)
+    with write_whole(args.out) as out:
+        _, vocab = load_dataset(args.dataset)
+        save_vocabulary(vocab, out)
     print(f"tokens={vocab.num_tokens}")
     return 0
 
 
 def _cmd_build_groups(args) -> int:
-    vocab = load_vocabulary(args.vocab)
-    table = load_groups(args.input, args.kind, vocab, args.prefix_depth)
-    write_groups_tsv(table, vocab, args.out)
+    with write_whole(args.out) as out:
+        vocab = load_vocabulary(args.vocab)
+        table = load_groups(args.input, args.kind, vocab, args.prefix_depth)
+        write_groups_tsv(table, vocab, out)
     grouped = len(table.membership)
     coverage = 100.0 * grouped / vocab.num_tokens
     print(f"groups={table.group_count}")
@@ -66,17 +68,17 @@ def _run_inputs(args):
 
 
 def _cmd_train(args) -> int:
-    exp, dataset, vocab, pretrained, group_table = _run_inputs(args)
-    all_idx = np.arange(len(dataset), dtype=np.int64)
-
     def log(epoch, loss):
         print(f"epoch={epoch} loss={loss:.6f}")
 
-    params, opt = train_model(
-        exp.model, dataset, vocab, pretrained, all_idx, exp,
-        group_table=group_table, log=log,
-    )
-    save_checkpoint(args.out, params, opt)
+    with write_whole(args.out, binary=True) as out:
+        exp, dataset, vocab, pretrained, group_table = _run_inputs(args)
+        all_idx = np.arange(len(dataset), dtype=np.int64)
+        params, opt = train_model(
+            exp.model, dataset, vocab, pretrained, all_idx, exp,
+            group_table=group_table, log=log,
+        )
+        write_checkpoint(out, params, opt)
     print(f"saved={args.out}")
     return 0
 

@@ -20,7 +20,6 @@ import hashlib
 
 import numpy as np
 
-from .files import write_whole
 
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
@@ -285,13 +284,12 @@ def _read_binary_embeddings(path):
     return entries, dim
 
 
-def save_vocabulary(vocab: Vocabulary, path) -> None:
-    """One token per line, in id order. Reserved rows are implicit. An
-    existing file at ``path`` is replaced whole."""
-    with write_whole(path) as f:
-        for w in vocab.words:
-            f.write(w)
-            f.write("\n")
+def save_vocabulary(vocab: Vocabulary, f) -> None:
+    """One token per line, in id order, into the text file ``f``. Reserved
+    rows are implicit."""
+    for w in vocab.words:
+        f.write(w)
+        f.write("\n")
 
 
 def load_vocabulary(path) -> Vocabulary:

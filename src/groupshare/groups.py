@@ -17,13 +17,14 @@ appearance in the source file. Words outside the vocabulary are skipped
 and counted. Empty groups are never materialized.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+import scipy.sparse
 
 from .corpus import Vocabulary
-from .files import write_whole
 
 
 @dataclass
@@ -77,37 +78,20 @@ class GroupTable:
         return self.membership.get(int(word_id), [])
 
 
-class _TableBuilder:
-    def __init__(self, vocab: Vocabulary):
-        self.vocab = vocab
-        self.key_to_gid = {}
-        self.group_keys = []
-        self.members = []
-        self.oov_skipped_words = set()
-        self.multiword_skipped = 0
-
-    def add(self, key: str, word: str) -> None:
-        wid = self.vocab.index.get(word)
+def _table(pairs, vocab: Vocabulary, multiword_skipped: int = 0) -> GroupTable:
+    """The table of (group key, word) pairs. A key takes the next group id
+    at its first pair whose word is in the vocabulary, so no group is
+    empty; each distinct out-of-vocabulary word is counted once."""
+    members, oov = defaultdict(set), set()
+    for key, word in pairs:
+        wid = vocab.index.get(word)
         if wid is None:
-            self.oov_skipped_words.add(word)
-            return
-        gid = self.key_to_gid.get(key)
-        if gid is None:
-            gid = len(self.group_keys)
-            self.key_to_gid[key] = gid
-            self.group_keys.append(key)
-            self.members.append([])
-        self.members[gid].append(wid)
-
-    def finish(self) -> GroupTable:
-        # add() creates a group only when it appends the group's first
-        # member, so no group is empty
-        return GroupTable(
-            self.vocab.num_rows, self.group_keys,
-            [sorted(set(ws)) for ws in self.members],
-            oov_skipped=len(self.oov_skipped_words),
-            multiword_skipped=self.multiword_skipped,
-        )
+            oov.add(word)
+        else:
+            members[key].add(wid)
+    return GroupTable(vocab.num_rows, list(members),
+                      [sorted(ws) for ws in members.values()],
+                      oov_skipped=len(oov), multiword_skipped=multiword_skipped)
 
 
 def _iter_lines(lines):
@@ -120,18 +104,18 @@ def _iter_lines(lines):
 
 def groups_from_tsv(lines, vocab: Vocabulary) -> GroupTable:
     """Canonical "group_key<TAB>word" lines."""
-    b = _TableBuilder(vocab)
+    pairs = []
     for lineno, line in _iter_lines(lines):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ValueError(f"line {lineno}: expected 'group_key<TAB>word'")
-        b.add(parts[0], parts[1])
-    return b.finish()
+        pairs.append((parts[0], parts[1]))
+    return _table(pairs, vocab)
 
 
 def groups_from_brown(lines, vocab: Vocabulary) -> GroupTable:
     """Hierarchical cluster output: "bitstring<TAB>word<TAB>count"."""
-    b = _TableBuilder(vocab)
+    pairs = []
     for lineno, line in _iter_lines(lines):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -145,8 +129,8 @@ def groups_from_brown(lines, vocab: Vocabulary) -> GroupTable:
             int(count)
         except ValueError:
             raise ValueError(f"line {lineno}: count {count!r} is not an integer") from None
-        b.add(bits, word)
-    return b.finish()
+        pairs.append((bits, word))
+    return _table(pairs, vocab)
 
 
 def mesh_prefix(tree_number: str, depth: int) -> str:
@@ -176,7 +160,7 @@ def groups_from_mesh(lines, vocab: Vocabulary,
                      prefix_depth: int = MESH_PREFIX_DEPTH) -> GroupTable:
     """Tree-coded concepts: "tree_number<TAB>word", grouped by prefix."""
     _check_prefix_depth(prefix_depth)
-    b = _TableBuilder(vocab)
+    pairs = []
     for lineno, line in _iter_lines(lines):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
@@ -185,8 +169,8 @@ def groups_from_mesh(lines, vocab: Vocabulary,
             key = mesh_prefix(parts[0], prefix_depth)
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
-        b.add(key, parts[1])
-    return b.finish()
+        pairs.append((key, parts[1]))
+    return _table(pairs, vocab)
 
 
 def groups_from_sentiment_lexicon(lines, vocab: Vocabulary) -> GroupTable:
@@ -197,7 +181,7 @@ def groups_from_sentiment_lexicon(lines, vocab: Vocabulary) -> GroupTable:
     "#sense" suffix; multiword terms (containing '_') are skipped and
     counted. Lines starting with '#' are comments.
     """
-    b = _TableBuilder(vocab)
+    pairs, multiword = [], 0
     for lineno, line in _iter_lines(lines):
         if line.startswith("#"):
             continue
@@ -222,10 +206,10 @@ def groups_from_sentiment_lexicon(lines, vocab: Vocabulary) -> GroupTable:
             if not word:
                 raise ValueError(f"line {lineno}: empty term")
             if "_" in word:
-                b.multiword_skipped += 1
+                multiword += 1
                 continue
-            b.add(key, word)
-    return b.finish()
+            pairs.append((key, word))
+    return _table(pairs, vocab, multiword)
 
 
 _LOADERS = {
@@ -253,18 +237,17 @@ def load_groups(path, kind: str, vocab: Vocabulary,
         return loader(f, vocab, *extra)
 
 
-def write_groups_tsv(table: GroupTable, vocab: Vocabulary, path) -> None:
-    """Dump a table in the canonical TSV form.
+def write_groups_tsv(table: GroupTable, vocab: Vocabulary, f) -> None:
+    """Dump a table in the canonical TSV form into the text file ``f``.
 
     Lines come out in group-id order with ascending members, so loading
     the file again rebuilds an identical table and a second dump is
-    byte-identical. An existing file at ``path`` is replaced whole.
+    byte-identical.
     """
-    with write_whole(path) as f:
-        for gid, ws in enumerate(table.members):
-            key = table.group_keys[gid]
-            for w in ws:
-                f.write(f"{key}\t{vocab.words[w]}\n")
+    for gid, ws in enumerate(table.members):
+        key = table.group_keys[gid]
+        for w in ws:
+            f.write(f"{key}\t{vocab.words[w]}\n")
 
 
 @dataclass
@@ -281,8 +264,9 @@ class GroupEmbeddings:
 def init_group_embeddings(table: GroupTable, pretrained: np.ndarray) -> GroupEmbeddings:
     """Each group row is the arithmetic mean of its members' pretrained rows.
 
-    Accumulation runs over members in ascending word-id order, summing
-    first and dividing once, so the result is reproducible bit for bit.
+    Accumulation runs over members in ascending word-id order from +0.0,
+    summing first and dividing once, so the result is reproducible bit
+    for bit: a CSR product sums each row's entries in index order.
     """
     pretrained = np.asarray(pretrained, dtype=np.float64)
     if pretrained.shape[0] < table.vocab_size:
@@ -290,11 +274,7 @@ def init_group_embeddings(table: GroupTable, pretrained: np.ndarray) -> GroupEmb
             f"pretrained matrix has {pretrained.shape[0]} rows, "
             f"table expects {table.vocab_size}"
         )
-    dim = pretrained.shape[1]
-    vectors = np.zeros((table.group_count, dim), dtype=np.float64)
-    for gid, ws in enumerate(table.members):
-        acc = np.zeros(dim, dtype=np.float64)
-        for w in ws:
-            acc += pretrained[w]
-        vectors[gid] = acc / len(ws)
-    return GroupEmbeddings(vectors=vectors)
+    rows = scipy.sparse.csr_array(
+        (np.ones(table.flat.size), table.flat, table.offsets),
+        shape=(table.group_count, pretrained.shape[0]))
+    return GroupEmbeddings(vectors=rows @ pretrained / np.diff(table.offsets)[:, None])

@@ -542,6 +542,12 @@ def _collect_tensors(params: ModelParams, opt: Optimizer):
 def save_checkpoint(path, params: ModelParams, opt: Optimizer) -> None:
     """Write a checkpoint; an existing file at ``path`` is replaced whole,
     and a write that fails midway leaves no partial checkpoint behind."""
+    with write_whole(path, binary=True) as f:
+        write_checkpoint(f, params, opt)
+
+
+def write_checkpoint(f, params: ModelParams, opt: Optimizer) -> None:
+    """Write a checkpoint into the binary file ``f``."""
     tensors = _collect_tensors(params, opt)
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -563,12 +569,11 @@ def save_checkpoint(path, params: ModelParams, opt: Optimizer) -> None:
             "multiword_skipped": shared.table.multiword_skipped,
         }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with write_whole(path, binary=True) as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for _, arr in tensors:
-            f.write(np.ascontiguousarray(arr))
+    f.write(CHECKPOINT_MAGIC)
+    f.write(struct.pack("<Q", len(blob)))
+    f.write(blob)
+    for _, arr in tensors:
+        f.write(np.ascontiguousarray(arr))
 
 
 TENSOR_DTYPES = ("float64", "int64")

@@ -275,18 +275,27 @@ def test_errors_exit_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, loader", [("predict", "load_checkpoint"),
-                                             ("evaluate", "load_run_inputs")])
+                                             ("evaluate", "load_run_inputs"),
+                                             ("train", "load_run_inputs"),
+                                             ("build-vocab", "load_dataset"),
+                                             ("build-groups", "load_vocabulary")])
 def test_an_unwritable_out_fails_before_any_input_is_read(
         command, loader, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{loader} was called")
 
     monkeypatch.setattr(cli, loader, refuse)
-    if command == "predict":
-        inputs = ["--checkpoint", str(tmp_path / "m.ckpt"),
-                  "--input", str(tmp_path / "docs.txt")]
-    else:
-        inputs = ["--config", str(write_config(tmp_path, *write_dataset(tmp_path)))]
+    data, groups = write_dataset(tmp_path)
+    config = ["--config", str(write_config(tmp_path, data, groups))]
+    inputs = {
+        "predict": ["--checkpoint", str(tmp_path / "m.ckpt"),
+                    "--input", str(tmp_path / "docs.txt")],
+        "evaluate": config,
+        "train": config,
+        "build-vocab": ["--dataset", str(data)],
+        "build-groups": ["--kind", "tsv", "--input", str(groups),
+                         "--vocab", str(tmp_path / "vocab.txt")],
+    }[command]
     before = sorted(os.listdir(tmp_path))
     out = tmp_path / "missing" / "out.txt"
     assert main([command, *inputs, "--out", str(out)]) == 1

@@ -229,7 +229,8 @@ def test_random_pretrained_properties():
 def test_vocabulary_file_round_trip(tmp_path):
     vocab = vocab_of(["alpha", "beta", "gamma"])
     path = tmp_path / "vocab.txt"
-    save_vocabulary(vocab, path)
+    with open(path, "w", encoding="utf-8") as f:
+        save_vocabulary(vocab, f)
     assert path.read_text() == "alpha\nbeta\ngamma\n"
     again = load_vocabulary(path)
     assert again.words == vocab.words

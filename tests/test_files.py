@@ -5,8 +5,6 @@ import pytest
 
 from groupshare import files
 from groupshare.cli import build_parser
-from groupshare.corpus import load_dataset, save_vocabulary
-from groupshare.groups import groups_from_tsv, write_groups_tsv
 from groupshare.model import Optimizer, save_checkpoint
 from test_cli import write_config, write_dataset
 from test_model import tiny_setup
@@ -41,15 +39,16 @@ def _checkpoint(tmp_path):
 
 
 def _vocabulary(tmp_path):
-    vocab = load_dataset(write_dataset(tmp_path)[0])[1]
-    return lambda out: save_vocabulary(vocab, out)
+    data = write_dataset(tmp_path)[0]
+    return lambda out: _run("build-vocab", "--dataset", str(data), "--out", str(out))
 
 
 def _groups_tsv(tmp_path):
     data, groups = write_dataset(tmp_path)
-    vocab = load_dataset(data)[1]
-    table = groups_from_tsv(groups.read_text().splitlines(), vocab)
-    return lambda out: write_groups_tsv(table, vocab, out)
+    vocab = tmp_path / "vocab.txt"
+    _run("build-vocab", "--dataset", str(data), "--out", str(vocab))
+    return lambda out: _run("build-groups", "--kind", "tsv", "--input", str(groups),
+                            "--vocab", str(vocab), "--out", str(out))
 
 
 def _run(*argv):

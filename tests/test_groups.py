@@ -36,6 +36,11 @@ def test_tsv_groups_skips_oov_and_counts_them():
     assert table.group_count == 1
     assert table.oov_skipped == 2  # unique unknown words
     assert table.groups_of(0) == [0]
+    # a key takes its group id at its first pair in the vocabulary
+    table = groups_from_tsv(["x\tunicorn", "y\tcat", "x\tdog"],
+                            vocab_of(["cat", "dog"]))
+    assert table.group_keys == ["y", "x"]
+    assert table.oov_skipped == 1
 
 
 def test_tsv_groups_malformed_lines():
@@ -188,13 +193,15 @@ def test_group_tsv_dump_round_trips(tmp_path):
                                  int(rng.integers(1, 60)))
         table = groups_from_tsv(lines, vocab)
         path = tmp_path / f"g{trial}.tsv"
-        write_groups_tsv(table, vocab, path)
+        with open(path, "w", encoding="utf-8") as f:
+            write_groups_tsv(table, vocab, f)
         with open(path) as f:
             reloaded = groups_from_tsv(f, vocab)
         assert reloaded.group_keys == table.group_keys
         assert reloaded.members == table.members
         first = path.read_bytes()
-        write_groups_tsv(reloaded, vocab, path)
+        with open(path, "w", encoding="utf-8") as f:
+            write_groups_tsv(reloaded, vocab, f)
         assert path.read_bytes() == first
 
 
@@ -225,7 +232,14 @@ def test_group_init_small_exact():
 
 
 def test_group_init_matches_scalar_oracle_exactly():
-    rng = np.random.default_rng(808)
+    # the oracle sums from +0.0, so a group whose rows hold only -0.0 in a
+    # coordinate, a one-member group included, gets +0.0 there
+    vocab = vocab_of(["a", "b", "c"])
+    pretrained = np.full((vocab.num_rows, 2), -0.0)
+    pretrained[1] = [1.0, -0.0]
+    cases = [(groups_from_tsv(["g\ta", "h\ta", "h\tb", "k\tc"], vocab),
+              pretrained)]
+    rng, zeros = np.random.default_rng(808), np.random.default_rng(809)
     for trial in range(30):
         words = random_words(rng, int(rng.integers(3, 25)))
         vocab = vocab_of(words)
@@ -234,13 +248,22 @@ def test_group_init_matches_scalar_oracle_exactly():
         table = groups_from_tsv(lines, vocab)
         dim = int(rng.integers(1, 9))
         pretrained = rng.normal(0, 1.5, size=(vocab.num_rows, dim))
-        emb = init_group_embeddings(table, pretrained)
+        zeroed = pretrained.copy()    # -0.0 in whole rows and in single entries
+        zeroed[zeros.random(vocab.num_rows) < 0.3] = -0.0
+        zeroed[zeros.random(zeroed.shape) < 0.3] = -0.0
+        cases += [(table, pretrained), (table, zeroed)]
+    for table, pretrained in cases:
+        dim = pretrained.shape[1]
+        want = np.empty((table.group_count, dim))
         for gid, members in enumerate(table.members):
             for j in range(dim):
                 acc = 0.0
                 for w in members:  # ascending id order, sum then divide
                     acc += pretrained[w, j]
-                assert emb.vectors[gid, j] == acc / len(members)
+                want[gid, j] = acc / len(members)
+        got = init_group_embeddings(table, pretrained).vectors
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_group_init_rejects_short_matrix():
