@@ -14,7 +14,7 @@ reason to stderr.
 import argparse
 import sys
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -186,14 +186,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _sigterm_exits():
+    """While the block runs on the main thread, SIGTERM raises SystemExit,
+    so that ``write_whole`` removes its temporary file; the previous
+    handler comes back afterwards."""
+    # Imported here: at the top they would load before numpy does.
+    import signal
+    import threading
+
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def _exit(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, _exit)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    with _sigterm_exits():
+        try:
+            return args.func(args)
+        except Exception as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -119,6 +119,19 @@ def parse_line(line: str, lineno: int):
     return label, tokens
 
 
+def _split_lines(lines, ids):
+    """Raw labels, and the token ids ``ids(tokens)`` gives, of each
+    non-blank dataset line."""
+    raw_labels, documents = [], []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if line:
+            label, tokens = parse_line(line, lineno)
+            raw_labels.append(label)
+            documents.append(ids(tokens))
+    return raw_labels, documents
+
+
 def encode(lines, vocab: Vocabulary) -> Dataset:
     """Encode raw dataset lines against a vocabulary.
 
@@ -126,15 +139,11 @@ def encode(lines, vocab: Vocabulary) -> Dataset:
     integers are used verbatim (num_classes = max + 1); otherwise the
     distinct label strings are sorted and densely renumbered.
     """
-    raw_labels = []
-    documents = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        label, tokens = parse_line(line, lineno)
-        raw_labels.append(label)
-        documents.append(vocab.ids(tokens))
+    return _dataset(*_split_lines(lines, vocab.ids))
+
+
+def _dataset(raw_labels, documents) -> Dataset:
+    """The Dataset of encoded documents and their raw labels."""
     if not documents:
         raise ValueError("dataset is empty")
 
@@ -157,12 +166,23 @@ def encode(lines, vocab: Vocabulary) -> Dataset:
 
 
 def load_dataset(path):
-    """Read a dataset file, build its vocabulary, and encode it."""
+    """Read a dataset file, build its vocabulary, and encode it.
+
+    Each line is split once: a token takes the next id at its first
+    occurrence, the order ``build_vocabulary`` gives.
+    """
+    index = {}
+
+    def ids(tokens):
+        return np.array([index.setdefault(t, len(index)) for t in tokens],
+                        dtype=np.int64)
+
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    docs = [parse_line(ln, i)[1] for i, ln in enumerate(lines, start=1) if ln]
-    vocab = build_vocabulary(docs)
-    return encode(lines, vocab), vocab
+        raw_labels, documents = _split_lines(f, ids)
+    if not documents:
+        raise ValueError("cannot build a vocabulary from an empty corpus")
+    vocab = Vocabulary(tuple(index))
+    return _dataset(raw_labels, documents), vocab
 
 
 # Random rows (out-of-vocabulary words, random embeddings) are drawn
@@ -174,27 +194,29 @@ def load_pretrained(path, vocab: Vocabulary, format: str = "text",
                     oov_seed: int = 0) -> np.ndarray:
     """Load pretrained vectors into a (num_rows, d) float64 matrix.
 
-    File entries not in the vocabulary are ignored. Vocabulary tokens (and
-    the UNK row) missing from the file are drawn uniformly in ascending
-    row order from one generator seeded with ``oov_seed``, so the result
-    is reproducible. The PAD row is zero.
+    File entries not in the vocabulary are ignored, and a word the file
+    holds more than once takes its last entry. Vocabulary tokens (and the
+    UNK row) missing from the file are drawn uniformly in ascending row
+    order from one generator seeded with ``oov_seed``, so the result is
+    reproducible. The PAD row is zero.
     """
     if format == "text":
-        entries, dim = _read_text_embeddings(path)
+        words, values = _read_text_embeddings(path)
     elif format == "binary":
-        entries, dim = _read_binary_embeddings(path)
+        words, values = _read_binary_embeddings(path)
     else:
         raise ValueError(f"unknown embedding format {format!r}")
 
+    dim = values.shape[1]
+    last = dict(zip(words, range(len(words))))  # a repeated word: its last entry
+    pairs = [(idx, entry) for word, entry in last.items()
+             if (idx := vocab.lookup(word)) is not None and idx != vocab.pad_id]
+    ids, entries = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     matrix = np.zeros((vocab.num_rows, dim), dtype=np.float64)
+    matrix[ids] = values[entries]
     present = np.zeros(vocab.num_rows, dtype=bool)
+    present[ids] = True
     present[vocab.pad_id] = True  # stays zero
-    for word, vec in entries:
-        idx = vocab.lookup(word)
-        if idx is None or idx == vocab.pad_id:
-            continue
-        matrix[idx] = vec
-        present[idx] = True
     rng = np.random.default_rng(oov_seed)
     missing = ~present
     matrix[missing] = rng.uniform(-OOV_BOUND, OOV_BOUND,
@@ -227,9 +249,57 @@ def _parse_header(line, format: str):
 
 
 def _read_text_embeddings(path):
+    """(words, (count, d) float32 values) of a text embedding file.
+
+    Python splits off each line's word, and ``np.loadtxt`` parses all the
+    values in C. A file that this bulk pass refuses for any reason goes to
+    ``_read_text_lines``, the per-line reader: it decides which files are
+    accepted and what each error says, and its result stands when it
+    accepts a file the bulk pass does not (values such as ``1_000``, which
+    Python's float takes and numpy's parser does not).
+    """
+    try:
+        return _read_text_bulk(path)
+    except ValueError:
+        pass
+    return _read_text_lines(path)
+
+
+def _read_text_bulk(path):
+    """``_read_text_lines`` in two passes over the file, words then values;
+    raises a bare ValueError wherever the two readers could differ."""
     with open(path, "r", encoding="utf-8") as f:
         count, dim = _parse_header(f.readline(), "text")
-        entries = []
+        start = f.tell()
+        words = []
+        for line in f:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            head = line.split(None, 1)
+            if not head:
+                raise ValueError("whitespace-only line")
+            words.append(head[0])
+        if len(words) != count:
+            raise ValueError("entry count differs from the header")
+        if not count:
+            return words, np.zeros((0, dim), dtype=np.float32)
+        f.seek(start)
+        # No usecols: it would ignore extra fields. The converter keeps the
+        # word column, so loadtxt refuses a line whose field count differs
+        # from the first line's.
+        table = np.loadtxt(f, dtype=np.float32, comments=None, ndmin=2,
+                           converters={0: lambda word: 0.0})
+    if table.shape != (count, dim + 1) or not np.isfinite(table).all():
+        raise ValueError("shape or value check failed")
+    return words, table[:, 1:]
+
+
+def _read_text_lines(path):
+    """The per-line reference reader of text embedding files."""
+    with open(path, "r", encoding="utf-8") as f:
+        count, dim = _parse_header(f.readline(), "text")
+        words, rows = [], []
         for lineno, line in enumerate(f, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -241,20 +311,22 @@ def _read_text_embeddings(path):
                 )
             try:
                 # payload resolution is float32 in both file formats
-                vec = np.array(parts[1:], dtype=np.float32).astype(np.float64)
+                vec = np.array(parts[1:], dtype=np.float32)
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric embedding value") from None
             if not np.isfinite(vec).all():
                 raise ValueError(f"line {lineno}: non-finite embedding value")
-            entries.append((parts[0], vec))
-    if len(entries) != count:
+            words.append(parts[0])
+            rows.append(vec)
+    if len(words) != count:
         raise ValueError(
-            f"header announces {count} entries but file holds {len(entries)}"
+            f"header announces {count} entries but file holds {len(words)}"
         )
-    return entries, dim
+    return words, np.array(rows, dtype=np.float32).reshape(count, dim)
 
 
 def _read_binary_embeddings(path):
+    """(words, (count, d) float32 values) of a binary embedding file."""
     with open(path, "rb") as f:
         blob = f.read()
     nl = blob.find(b"\n")
@@ -262,26 +334,34 @@ def _read_binary_embeddings(path):
         raise ValueError("binary embedding file has no header line")
     count, dim = _parse_header(blob[:nl], "binary")
     pos = nl + 1
-    entries = []
-    for _ in range(count):
-        sp = blob.find(b" ", pos)
-        if sp < 0:
-            raise ValueError("binary embedding payload truncated (no word terminator)")
-        word = blob[pos:sp].decode("utf-8")
-        pos = sp + 1
-        end = pos + 4 * dim
-        if end > len(blob):
-            raise ValueError("binary embedding payload truncated (vector bytes)")
-        vec = np.frombuffer(blob[pos:end], dtype="<f4").astype(np.float64)
-        if not np.isfinite(vec).all():
-            raise ValueError(f"non-finite embedding value for word {word!r}")
-        pos = end
-        if pos < len(blob) and blob[pos:pos + 1] == b"\n":
-            pos += 1
-        entries.append((word, vec))
+    words, vectors = [], []
+    error = None
+    try:
+        for _ in range(count):
+            sp = blob.find(b" ", pos)
+            if sp < 0:
+                raise ValueError("binary embedding payload truncated (no word terminator)")
+            word = blob[pos:sp].decode("utf-8")
+            pos = sp + 1
+            end = pos + 4 * dim
+            if end > len(blob):
+                raise ValueError("binary embedding payload truncated (vector bytes)")
+            words.append(word)
+            vectors.append(blob[pos:end])
+            pos = end
+            if blob[pos:pos + 1] == b"\n":
+                pos += 1
+    except ValueError as e:
+        error = e  # a non-finite value in an earlier entry is reported first
+    values = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(len(words), dim)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite embedding value for word {words[bad[0]]!r}")
+    if error is not None:
+        raise error
     if pos != len(blob):
         raise ValueError("binary embedding file has trailing bytes after payload")
-    return entries, dim
+    return words, values
 
 
 def save_vocabulary(vocab: Vocabulary, f) -> None:

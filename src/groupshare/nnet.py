@@ -35,10 +35,12 @@ def rows_product(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.nda
     a partial tile come out with other last bits than the same rows inside
     a larger product. A stack of equal-sized blocks, the last one padded
     with zero rows, gives each row one product shape wherever it sits. On
-    OpenBLAS 0.3.31 (Haswell kernels), with one thread or two, 24-row
-    blocks keep every row's bytes independent of its position and of its
-    neighbours for inner sizes 4 to 1,500 and 2 to 3,600 columns; 32-row
-    blocks did not, at 300, 500 and 700 columns with one thread.
+    OpenBLAS 0.3.31 running its SkylakeX kernels (the set it picks at run
+    time on an AVX-512 CPU; "Haswell" in numpy's build information is only
+    the build's base target), with one thread or two, 24-row blocks keep
+    every row's bytes independent of its position and of its neighbours
+    for inner sizes 4 to 1,500 and 2 to 3,600 columns; 32-row blocks did
+    not, at 300, 500 and 700 columns with one thread.
 
     An ``a`` whose row count is a multiple of ROW_BLOCK is used as it is,
     and then ``out``, a C-ordered array of the product's shape, may take

@@ -1,4 +1,8 @@
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from groupshare import cli
 from groupshare.cli import main
 from groupshare.model import load_checkpoint
+from helpers import SRC
 
 
 def write_dataset(tmp_path, n=24):
@@ -301,3 +306,29 @@ def test_an_unwritable_out_fails_before_any_input_is_read(
     assert main([command, *inputs, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_sigterm_removes_the_temporary_output(tmp_path):
+    data, groups = write_dataset(tmp_path)
+    config = write_config(tmp_path, data, groups, epochs=100000)
+    out = tmp_path / "model.ckpt"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "groupshare.cli", "train",
+         "--config", str(config), "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("*.tmp")):
+            assert child.poll() is None, child.stderr.read()
+            assert time.monotonic() < deadline, "no temporary file appeared"
+            time.sleep(0.02)
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=60) != 0
+    finally:
+        child.kill()
+        child.wait()
+        child.stderr.close()
+    assert not list(tmp_path.glob("*.tmp"))
+    assert not out.exists()

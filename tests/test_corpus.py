@@ -3,6 +3,11 @@ import pytest
 
 import re
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupshare import corpus
+
 from groupshare.corpus import (
     PAD_TOKEN,
     UNK_TOKEN,
@@ -212,6 +217,149 @@ def test_pretrained_binary_truncation(tmp_path):
     padded.write_bytes(blob + b"xx")
     with pytest.raises(ValueError, match="trailing"):
         load_pretrained(padded, vocab, format="binary")
+
+
+def _read_outcome(read, path):
+    """A reader's words and value bytes, or its error's type and message."""
+    try:
+        words, values = read(path)
+    except ValueError as e:
+        return type(e), str(e)
+    return words, values.dtype, values.shape, values.tobytes()
+
+
+_WORDS = ["w", "x", "é", "日本", PAD_TOKEN, UNK_TOKEN]
+_ODD_VALUES = ["-0", "+.5", "1.", "1E5", "nan", "-inf", "Infinity", "1e39",
+               "1e-46", "1_000", "\u0663", "0x10", "oops", ""]
+_SEPARATORS = [" ", "  ", "\t", " \t", "\u00a0", "\u2003", "\x1c"]
+_ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def _text_embedding_files(draw):
+    """Embedding file text; half of them break no rule, the rest may break
+    any of them."""
+    dim = draw(st.integers(1, 4))
+    clean = draw(st.booleans())
+    faults = st.just(False) if clean else st.booleans()
+    odd_values, odd_widths, odd_lines, odd_count = (draw(faults) for _ in range(4))
+    value = st.one_of(
+        st.floats(width=32, allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(-1e30, 1e30).map(repr),
+        st.sampled_from(["-0", "+.5", "1.", "1E5", "1e-46", "12345678901234567890"]))
+    if odd_values:
+        value = st.one_of(value, st.sampled_from(_ODD_VALUES))
+    lines, entries = [], 0
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["entry"] * 5 + ["blank"] + ["spaces"] * odd_lines))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t ", "\u2003"])))
+        else:
+            entries += 1
+            width = dim + (draw(st.sampled_from([0, 0, -1, 1])) if odd_widths else 0)
+            fields = [draw(st.sampled_from(_WORDS))]
+            fields += [draw(value) for _ in range(width)]
+            sep = draw(st.sampled_from(_SEPARATORS))
+            lead, trail = draw(st.sampled_from([("", ""), (" ", ""), ("", "\t ")]))
+            lines.append(lead + sep.join(fields) + trail)
+    count = entries + (draw(st.sampled_from([0, 1, -1])) if odd_count else 0)
+    ends = [draw(st.sampled_from(_ENDS)) for _ in lines]
+    text = f"{count} {dim}\n" + "".join(l + e for l, e in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_text_embedding_files())
+def test_text_reader_matches_the_per_line_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("emb") / "emb.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_read_outcome(corpus._read_text_embeddings, path)
+            == _read_outcome(corpus._read_text_lines, path))
+
+
+def test_text_reader_bulk_pass_serves_clean_files(tmp_path, monkeypatch):
+    path = tmp_path / "emb.txt"
+    path.write_bytes("3 2\r\na\t1.5  -2\r\n\r\n  é 3e-3\u00a0+4\nz 0.1 1e2".encode())
+    expected = corpus._read_text_lines(path)
+
+    def refuse(path):
+        raise AssertionError("the per-line reader was called")
+
+    monkeypatch.setattr(corpus, "_read_text_lines", refuse)
+    words, values = corpus._read_text_embeddings(path)
+    assert words == expected[0] == ["a", "é", "z"]
+    assert values.tobytes() == expected[1].tobytes()
+
+
+def test_text_reader_takes_what_only_pythons_float_parses(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("1 2\nw 1_000 \u0663\n", encoding="utf-8")
+    assert load_pretrained(path, vocab_of(["w"]))[0].tolist() == [1000.0, 3.0]
+
+
+@pytest.mark.parametrize("format", ["text", "binary"])
+def test_pretrained_repeated_word_keeps_its_last_entry(tmp_path, format):
+    vocab = vocab_of(["w", "v"])
+    path = tmp_path / "emb"
+    write_embeddings(path, ["w", "v", "w", "gone", "w"],
+                     [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]], format=format)
+    loaded = load_pretrained(path, vocab, format=format)
+    assert loaded[:2].tolist() == [[9, 10], [3, 4]]
+
+
+@pytest.mark.parametrize("format", ["text", "binary"])
+def test_pretrained_pad_entry_leaves_the_pad_row_zero(tmp_path, format):
+    vocab = vocab_of(["w"])
+    path = tmp_path / "emb"
+    write_embeddings(path, [PAD_TOKEN, UNK_TOKEN, "w"],
+                     [[1, 2], [3, 4], [5, 6]], format=format)
+    loaded = load_pretrained(path, vocab, format=format)
+    assert loaded[vocab.pad_id].tolist() == [0, 0]
+    assert loaded[vocab.unk_id].tolist() == [3, 4]
+    assert loaded[0].tolist() == [5, 6]
+
+
+def test_text_reader_names_the_line_of_a_bad_field_count(tmp_path):
+    vocab = vocab_of(["a", "b"])
+    blank = tmp_path / "blank.txt"
+    blank.write_text("2 2\na 1 2\n \t\nb 3 4\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "line 3: expected 1 word + 2 values, got 0 fields")):
+        load_pretrained(blank, vocab)
+    extra = tmp_path / "extra.txt"
+    extra.write_text("3 2\na 1 2\n\nb 3 4 5\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "line 4: expected 1 word + 2 values, got 4 fields")):
+        load_pretrained(extra, vocab)
+    later = tmp_path / "later.txt"
+    later.write_text("2 2\na 1 2\nb 3 4 5\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "line 3: expected 1 word + 2 values, got 4 fields")):
+        load_pretrained(later, vocab)
+
+
+def test_binary_reader_reports_the_first_non_finite_row_before_truncation(tmp_path):
+    vocab = vocab_of(["a"])
+    path = tmp_path / "emb.bin"
+    write_embeddings(path, ["a", "b", "c"], [[1, 2], [np.inf, 0], [np.nan, 0]],
+                     format="binary")
+    with pytest.raises(ValueError, match="non-finite embedding value for word 'b'"):
+        load_pretrained(path, vocab, format="binary")
+    clipped = tmp_path / "clip.bin"
+    clipped.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(ValueError, match="for word 'b'"):
+        load_pretrained(clipped, vocab, format="binary")
+
+
+def test_load_dataset_reports_bad_lines_by_number(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_text("1\tup\n\n0 down\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3: expected 'label<TAB>tokens'"):
+        load_dataset(path)
 
 
 def test_random_pretrained_properties():
