@@ -213,7 +213,8 @@ def load_pretrained(path, vocab: Vocabulary, format: str = "text",
              if (idx := vocab.lookup(word)) is not None and idx != vocab.pad_id]
     ids, entries = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     matrix = np.zeros((vocab.num_rows, dim), dtype=np.float64)
-    matrix[ids] = values[entries]
+    # every entry kept, in file order: assign the values without a copy
+    matrix[ids] = values if len(entries) == len(values) else values[entries]
     present = np.zeros(vocab.num_rows, dtype=bool)
     present[ids] = True
     present[vocab.pad_id] = True  # stays zero

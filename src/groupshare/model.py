@@ -24,6 +24,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
@@ -269,11 +270,12 @@ class ForwardCache:
 
 
 def forward(ids: np.ndarray, params: ModelParams, words: np.ndarray, rows: list,
-            dropout_rng: np.random.Generator = None):
+            dropout_rng: np.random.Generator = None, for_backward: bool = False):
     """Logits for a block of documents padded to one length.
 
     ``ids`` is (documents, length), with length at least the maximum
-    filter height; returns (documents, classes) logits. ``words`` holds
+    filter height; returns ((documents, classes) logits, the cache that
+    ``backward`` reads, or None unless ``for_backward``). ``words`` holds
     every id in the block but PAD, ascending, and ``rows`` is
     ``channel_rows(params, words)``; PAD positions read +0.0. Dropout runs
     when ``dropout_rng`` is given (training) and not without it
@@ -282,6 +284,13 @@ def forward(ids: np.ndarray, params: ModelParams, words: np.ndarray, rows: list,
     single pad-completed window. Extra trailing padding therefore never
     changes the logits. The ReLU runs on the pooled features: it is
     monotone, so the max of the rectified windows is the rectified max.
+
+    Without ``for_backward`` (evaluation) the pool takes the max alone;
+    the winning windows, which only ``backward`` reads, are found only
+    with it. Both give the same logits. Each filter height's window
+    responses are formed and pooled in runs of the fewest whole documents
+    that hold ``nnet.TILE_VALUES`` values (4 MiB), the block's last run
+    perhaps fewer.
     """
     config = params.config
     ids = np.asarray(ids, dtype=np.int64)
@@ -296,6 +305,7 @@ def forward(ids: np.ndarray, params: ModelParams, words: np.ndarray, rows: list,
         raise ValueError("document is all padding")
 
     slots = np.where(real, np.searchsorted(words, ids), len(words))
+    pool = maxpool1 if for_backward else partial(maxpool1, index=False)
     banks = [("emb_p", "bank_p", params.bank_p), ("ch2", "bank_s", params.bank_s)]
     channels = []
     pieces = []
@@ -304,7 +314,7 @@ def forward(ids: np.ndarray, params: ModelParams, words: np.ndarray, rows: list,
         for h in config.filter_heights:
             pooled, idx, cache = conv_forward(
                 table, slots, np.maximum(real_len - h + 1, 1), bank.weights[h],
-                bank.biases[h], maxpool1)
+                bank.biases[h], pool)
             pooled = np.maximum(pooled, 0.0)
             per_height.append((h, cache, idx, pooled))
             pieces.append(pooled)
@@ -313,6 +323,8 @@ def forward(ids: np.ndarray, params: ModelParams, words: np.ndarray, rows: list,
     feat = np.concatenate(pieces, axis=1)
     dropped, drop_mask = dropout(feat, config.dropout_rate, dropout_rng)
     logits = rows_product(dropped, params.softmax_w) + params.softmax_b
+    if not for_backward:
+        return logits, None
     return logits, ForwardCache(slots=slots, n_words=len(words), n_rows=len(rows[0]),
                                 channels=channels,
                                 dropped=dropped, drop_mask=drop_mask)
@@ -392,7 +404,7 @@ def batch_gradients(params: ModelParams, docs, labels,
         block_labels = labels[start : start + len(ids)]
         logits, cache = forward(ids, params, block_words,
                                 channel_rows(params, block_words),
-                                dropout_rng=dropout_rng)
+                                dropout_rng=dropout_rng, for_backward=True)
         loss, probs = softmax_xent(logits, block_labels)
         total_loss += loss.sum()
         backward(softmax_xent_backward(probs, block_labels), cache, params, grads,
@@ -479,7 +491,7 @@ def train_step(params: ModelParams, opt: Optimizer, docs, labels) -> float:
 
 def _eval_logits(params: ModelParams, docs):
     """Yield (start, logits) over the blocks of ``docs``, in evaluation
-    mode (no dropout)."""
+    mode: no dropout, and pooled by max alone."""
     for start, ids, words in blocks(params, docs):
         logits, _ = forward(ids, params, words, channel_rows(params, words))
         yield start, logits

@@ -6,10 +6,12 @@ so gradients can be finite-difference checked. Each takes the form that
 first. Filters span the full width, so a filter of height h is h slices,
 one per token of its window. The convolution projects each distinct
 embedding row onto every slice once and forms a window's response as a
-sum of h projections, shifted by one token each. The kernels trust
-their callers' checks: ``model.forward`` checks the block length,
-``ModelConfig`` the dropout rate, ``model.apply_gradients`` each
-gradient.
+sum of h projections, shifted by one token each, and pools the
+responses of a run of documents as it forms them. The pool finds each
+filter's winning window only for a caller that runs the backward pass.
+The kernels trust their callers' checks: ``model.forward`` checks the
+block length, ``ModelConfig`` the dropout rate,
+``model.apply_gradients`` each gradient.
 """
 
 from dataclasses import dataclass, field
@@ -80,10 +82,16 @@ def _window_sums(slots: np.ndarray, counts: np.ndarray, height: int, n_rows: int
 
 
 # conv_forward forms and pools the window responses of a run of documents
-# at a time, at most this many (window, filter) values (2 MiB) or one
-# document: a block's responses never exist whole, and each run is pooled
-# while it is in cache.
-TILE_VALUES = 1 << 18
+# at a time: the fewest whole documents that hold at least this many
+# (window, filter) values (4 MiB), or the rest of the block, so a block's
+# responses never exist whole. Each run's product is a fresh array, and
+# 4 MiB is numpy's floor for asking the kernel for huge pages. In a
+# training step on 200-token documents, runs of at most 2 MiB took fresh
+# pages for each product and for the backward pass's gradients, about
+# 7,700 minor faults a step; runs of at least 4 MiB mostly reuse the
+# memory that the run before them freed, about 2,100 faults a step, and
+# 3,100 with numpy's huge-page advice turned off.
+TILE_VALUES = 1 << 19
 
 
 def conv_forward(rows: np.ndarray, slots: np.ndarray, counts: np.ndarray,
@@ -95,10 +103,11 @@ def conv_forward(rows: np.ndarray, slots: np.ndarray, counts: np.ndarray,
     length at least the filter height; counts: (docs,) the windows of
     each document that the pool covers, ``1 <= counts[d] <= length -
     height + 1``; weights: (filters, height, dim); bias: (filters,);
-    pool: ``maxpool1``, called on the (docs, windows, filters)
-    pre-activations of each run of documents as it is formed. Returns
-    ((docs, filters) pooled pre-activations, (docs, filters) their
-    windows, and a cache for the backward pass).
+    pool: ``maxpool1``, or ``maxpool1`` without the index, called on the
+    (docs, windows, filters) pre-activations of each run of documents as
+    it is formed. Returns ((docs, filters) pooled pre-activations,
+    (docs, filters) their windows or None from a pool without the index,
+    and a cache for the backward pass).
 
     Every row is projected onto every slice at once, ``P = rows_product(
     rows, w)`` with ``w`` the slices ``weights[:, k, :].T`` side by side,
@@ -106,9 +115,11 @@ def conv_forward(rows: np.ndarray, slots: np.ndarray, counts: np.ndarray,
     pre-activation is ``sum_k P[slots[t + k], block k] + bias``, added in
     the order k = 0..height-1 and the bias last, as one sparse product; a
     window past its document's count reads -inf, so that the pool skips
-    it. The responses are pooled a run of documents at a time (see
-    TILE_VALUES), by the caller's pool, so that the pool runs, and is
-    timed, as the caller's ``maxpool1``.
+    it. The responses are formed and pooled a run of documents at a time,
+    each run the fewest documents that hold TILE_VALUES values, the last
+    run of a block perhaps fewer; a run boundary changes no document's
+    arithmetic. The caller passes the pool so that it runs, and is timed,
+    as the caller's ``maxpool1``.
     """
     f, height, dim = weights.shape
     n = rows.shape[0]
@@ -120,12 +131,13 @@ def conv_forward(rows: np.ndarray, slots: np.ndarray, counts: np.ndarray,
     proj[-2] = bias
     proj[-1] = -np.inf
     n_t = slots.shape[1] - height + 1
-    step = max(1, TILE_VALUES // (n_t * f))
-    pooled = [pool((_window_sums(slots[lo : lo + step], counts[lo : lo + step],
-                                 height, n) @ proj).reshape(-1, n_t, f))
-              for lo in range(0, len(slots), step)]
-    return (np.concatenate([top for top, _ in pooled]),
-            np.concatenate([idx for _, idx in pooled]), (rows, w, f))
+    step = -(-TILE_VALUES // (n_t * f))
+    runs = [pool((_window_sums(slots[lo : lo + step], counts[lo : lo + step],
+                               height, n) @ proj).reshape(-1, n_t, f))
+            for lo in range(0, len(slots), step)]
+    top, idx = zip(*runs)
+    return (np.concatenate(top), None if idx[0] is None else np.concatenate(idx),
+            (rows, w, f))
 
 
 def conv_backward(d_proj: np.ndarray, cache):
@@ -143,15 +155,20 @@ def conv_backward(d_proj: np.ndarray, cache):
     return d_rows, d_w, d_proj[:, :f].sum(axis=0)
 
 
-def maxpool1(values: np.ndarray):
+def maxpool1(values: np.ndarray, index: bool = True):
     """Max over the window axis of a batch, first index winning ties.
 
     values: (batch, windows, filters). Returns ((batch, filters) max
-    values, (batch, filters) argmax indices). The argmax is the first
-    window equal to the max: ``argmax`` over a middle axis would copy
-    ``values`` whole, a mask of bools costs an eighth of that.
+    values, (batch, filters) argmax indices), or (max values, None)
+    without ``index``: only the backward pass reads the indices, and a
+    pool that finds them takes five to nine times as long as the max
+    alone. The argmax is the first window equal to the max: ``argmax``
+    over a middle axis would copy ``values`` whole, a mask of bools costs
+    an eighth of that.
     """
     top = values.max(axis=1)
+    if not index:
+        return top, None
     return top, (values == top[:, None, :]).argmax(axis=1)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshare import model as model_module
+from groupshare import nnet
 from groupshare.corpus import random_pretrained
 from groupshare.groups import groups_from_tsv
 from groupshare.model import (
@@ -268,6 +269,31 @@ def test_predict_shapes_and_probabilities():
     short_doc = [np.array([0])]  # shorter than every filter: padded inside
     one, p = predict(params, short_doc)
     assert one.shape == (1,)
+
+
+@pytest.mark.parametrize("mode", ["random", "group_init_share"])
+def test_predict_gives_the_training_pools_probabilities(mode):
+    # 200-token documents: a block of them spans several runs of responses
+    for seed in range(2):
+        params, docs, *_ = tiny_setup(seed=seed, n_words=40, dim=4, mode=mode,
+                                      heights=(3, 5), filters=100, dropout=0.5)
+        rng = np.random.default_rng(seed + 40)
+        params.softmax_w += rng.normal(0, 0.3, params.softmax_w.shape)
+        docs += [np.array(rng.integers(0, params.vocab.num_tokens,
+                                       size=rng.integers(150, 201)), dtype=np.int64)
+                 for _ in range(70)]
+        _, probs = predict(params, docs)
+        spans_runs = False
+        for start, ids, words in model_module.blocks(params, docs):
+            logits, cache = forward(ids, params, words,
+                                    model_module.channel_rows(params, words),
+                                    for_backward=True)
+            assert cache is not None
+            want = model_module.softmax(logits)[0]
+            assert probs[start : start + len(ids)].tobytes() == want.tobytes()
+            values = len(ids) * (ids.shape[1] - 2) * params.config.filters_per_height
+            spans_runs |= values > 2 * nnet.TILE_VALUES
+        assert spans_runs
 
 
 def test_zero_gradients_cover_every_parameter():

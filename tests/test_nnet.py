@@ -81,6 +81,30 @@ def test_conv_forward_matches_loop_oracle(monkeypatch):
             np.testing.assert_array_equal(idx[d], pre[d].argmax(axis=0))
 
 
+def test_runs_of_a_long_block_hold_at_least_tile_values():
+    # each run's responses reach numpy's huge-page threshold, 4 MiB
+    assert nnet.TILE_VALUES * 8 >= 1 << 22
+    rng = np.random.default_rng(31)
+    docs, length, height, f = 60, 200, 3, 100
+    rows, slots, counts, w, b = conv_case(rng, docs, length, height, 4, f)
+    n_t = length - height + 1
+    runs = []
+
+    def keep(values):
+        runs.append(values.size)
+        return maxpool1(values)
+
+    pooled, idx, _ = conv_forward(rows, slots, counts, w, b, keep)
+    assert len(runs) > 2 and sum(runs) == docs * n_t * f
+    for size in runs[:-1]:
+        assert nnet.TILE_VALUES <= size < nnet.TILE_VALUES + n_t * f
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nnet, "TILE_VALUES", docs * n_t * f)
+        whole, whole_idx, _ = conv_forward(rows, slots, counts, w, b, maxpool1)
+    assert pooled.tobytes() == whole.tobytes()
+    assert idx.tobytes() == whole_idx.tobytes()
+
+
 def test_conv_backward_finite_differences():
     rng = np.random.default_rng(23)
     eps = 1e-6
@@ -122,6 +146,26 @@ def test_maxpool_first_index_wins_ties():
     # never wins
     out, idx = maxpool1(np.array([[[2.0], [7.0], [7.0], [-np.inf]]]))
     assert out[0, 0] == 7.0 and idx[0, 0] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 5),
+       windows=st.integers(1, 9), filters=st.integers(1, 6))
+def test_max_only_pool_gives_the_indexed_pools_max(seed, batch, windows, filters):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0, 1, size=(batch, windows, filters))
+    # entries from a few values, so that ±0.0 meet and windows tie
+    few = rng.random(values.shape) < 0.5
+    values[few] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=few.sum())
+    # repeated windows tie exactly
+    values = values[:, rng.integers(0, windows, size=windows)]
+    # windows past a document's count read -inf
+    counts = rng.integers(1, windows + 1, size=batch)
+    values[np.arange(windows) >= counts[:, None]] = -np.inf
+    top, idx = maxpool1(values)
+    alone, none = maxpool1(values, index=False)
+    assert none is None and idx is not None
+    assert alone.tobytes() == top.tobytes()
 
 
 def test_maxpool_backward_scatters_to_argmax():
